@@ -54,7 +54,7 @@ from .grid import (
 from .love import (
     love_displacement,
     love_effective_column,
-    love_influence_column,
+    love_effective_zz,
     love_potential_oracle,
 )
 from .pipeline import (
@@ -64,6 +64,7 @@ from .pipeline import (
     SolveReport,
     benchmark,
     compare_models,
+    forward_solve,
     reconstruct,
     resample,
     synth_contact,

@@ -1,9 +1,10 @@
 """Influence matrix assembly, pseudo-inversion, and disk caching.
 
 The influence matrix C maps node tractions Q to effective displacements
-D = C Q.  Assembly visits every (sensing node, traction node) pair with
-the scalar kernels of the chosen model; the cost is deliberately one
-kernel call per pair so timing scales with the pair count.
+D = C Q.  Assembly runs one loop over the sensing nodes: each fills its
+row (or, for all force components, its block of three rows) from the
+chosen model's per-pair kernel, called once per traction node, so the
+cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -81,6 +81,15 @@ def _validate(model: str, psi_mode: str, params) -> None:
         boussinesq.require_incompressible(params.poisson_ratio)
 
 
+def _shape(model: str, normal_only: bool, n_disp: int, n_tract: int) -> tuple[int, int]:
+    """(rows, columns): with all force components, three rows per sensing
+    node, and three columns per traction node for bc (love cells carry
+    a normal pressure only)."""
+    if normal_only:
+        return n_disp, n_tract
+    return 3 * n_disp, (1 if model == "love" else 3) * n_tract
+
+
 def assemble(
     model: str,
     tract_grid: Grid,
@@ -98,59 +107,31 @@ def assemble(
     _validate(model, psi_mode, params)
     h = params.nominal_thickness
     E = params.young_modulus
-    n_disp = len(disp_grid)
-    n_tract = len(tract_grid)
-    t0 = time.perf_counter()
+    nu = params.poisson_ratio
+    # kernel(x, y, cell) of one pair: a float, a 3-vector (love) or a
+    # 3x3 block (bc) per traction cell
     if model == "bc":
-        if normal_only:
-            entries = np.empty((n_disp, n_tract))
-            for k, ck in enumerate(disp_grid.cells):
-                for l, cl in enumerate(tract_grid.cells):
-                    entries[k, l] = boussinesq.bc_resolved_zz(
-                        ck.x - cl.x, ck.y - cl.y, cl.area, h, E, psi_mode
-                    )
-        else:
-            entries = np.empty((3 * n_disp, 3 * n_tract))
-            for k, ck in enumerate(disp_grid.cells):
-                for l, cl in enumerate(tract_grid.cells):
-                    entries[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = (
-                        boussinesq.bc_resolved_block(
-                            ck.x - cl.x, ck.y - cl.y, cl.area, h, E, psi_mode
-                        )
-                    )
+        bc_kernel = boussinesq.bc_resolved_zz if normal_only else boussinesq.bc_resolved_block
+        kernel = lambda x, y, cl: bc_kernel(x, y, cl.area, h, E, psi_mode)
+    elif normal_only:
+        kernel = lambda x, y, cl: love.love_effective_zz(x, y, cl.a, cl.b, h, E, nu)
     else:
-        if normal_only:
-            entries = np.empty((n_disp, n_tract))
-            for k, ck in enumerate(disp_grid.cells):
-                for l, cl in enumerate(tract_grid.cells):
-                    entries[k, l] = _love_zz(ck, cl, h, params)
-        else:
-            entries = np.empty((3 * n_disp, n_tract))
-            for k, ck in enumerate(disp_grid.cells):
-                for l, cl in enumerate(tract_grid.cells):
-                    entries[3 * k : 3 * k + 3, l] = love.love_effective_column(
-                        (ck.x - cl.x, ck.y - cl.y), (cl.a, cl.b), h, params
-                    )
+        kernel = lambda x, y, cl: love.love_effective_column((x, y), (cl.a, cl.b), h, params)
+    n_tract = len(tract_grid)
+    rows, cols = _shape(model, normal_only, len(disp_grid), n_tract)
+    per_node = 1 if normal_only else 3
+    entries = np.empty((rows, cols))
+    t0 = time.perf_counter()
+    for k, ck in enumerate(disp_grid.cells):
+        row = [kernel(ck.x - cl.x, ck.y - cl.y, cl) for cl in tract_grid.cells]
+        # pair l fills columns l*c to l*c + c - 1 of the node's rows (c = 3 for bc blocks, else 1)
+        entries[per_node * k : per_node * (k + 1)] = (
+            np.asarray(row).reshape(n_tract, per_node, -1).swapaxes(0, 1).reshape(per_node, -1)
+        )
     dt = time.perf_counter() - t0
     _counters["assemblies"] += 1
     return InfluenceMatrix(
         entries, model, normal_only, psi_mode, tract_grid, disp_grid, params, dt
-    )
-
-
-def _love_zz(ck, cl, h, params) -> float:
-    """Normal-normal effective coefficient of one Love cell (scalar path)."""
-    x = ck.x - cl.x
-    y = ck.y - cl.y
-    a, b = cl.a, cl.b
-    E = params.young_modulus
-    nu = params.poisson_ratio
-    scale = a + b + abs(x) + abs(y)
-    inv_g = 2.0 * (1.0 + nu) / E
-    l0 = love._surface_normal_l(a, b, x, y, scale)
-    lh, arch = love._normal_parts(a, b, x, y, h, scale + h)
-    return (1.0 / (4.0 * math.pi)) * (
-        2.0 * (1.0 - nu) * inv_g * (l0 - lh) - inv_g * h * arch
     )
 
 
@@ -275,13 +256,11 @@ def load_matrix(
     except (OSError, ValueError) as exc:
         logger.warning("unreadable cache entry %s (%s); re-assembling", key, exc)
         return None
-    expect_rows = (1 if normal_only else 3) * len(disp_grid)
-    expect_cols = len(tract_grid) * (1 if (normal_only or model == "love") else 3)
     if (
         header.get("model") != model
         or header.get("normal_only") != normal_only
         or header.get("psi_mode") != psi_mode
-        or entries.shape != (expect_rows, expect_cols)
+        or entries.shape != _shape(model, normal_only, len(disp_grid), len(tract_grid))
     ):
         logger.warning("cache entry %s does not match its request; re-assembling", key)
         return None

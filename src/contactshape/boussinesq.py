@@ -85,13 +85,23 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     return np.array([ux, uy, uz])
 
 
+def _exact_zz(s: float, h_c: float, young_modulus: float) -> float:
+    """Exact normal-normal effective coefficient at squared in-plane distance s > 0."""
+    h2 = h_c * h_c
+    t = s + h2
+    k = 3.0 / (4.0 * math.pi * young_modulus)
+    return k * (1.0 / math.sqrt(s) - (s + 2.0 * h2) / (t * math.sqrt(t)))
+
+
 def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> np.ndarray:
     """Exact 3x3 effective-displacement block for one node pair.
 
     Row r, column c holds the effective displacement component r at the
     sensing node per unit force component c on the traction node, the
     nodes being offset by (x, y) in plane with cover thickness h_c.
-    Entries that diverge at x = y = 0 are reported as +inf sentinels.
+    Entries that diverge at x = y = 0 are reported as +inf sentinels,
+    also for offsets so small (below about 1e-103 m) that s^(3/2)
+    underflows to zero.
     """
     if not (h_c > 0.0):
         raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
@@ -100,7 +110,8 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
     h2 = h_c * h_c
     t = s + h2
     t32 = t * math.sqrt(t)
-    if s == 0.0:
+    s32 = s * math.sqrt(s)
+    if s32 == 0.0:
         inf = math.inf
         return np.array(
             [
@@ -109,7 +120,6 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
                 [0.0, 0.0, inf],
             ]
         )
-    s32 = s * math.sqrt(s)
     x2 = x * x
     y2 = y * y
     c00 = k * ((2.0 * x2 + y2) / s32 - (2.0 * x2 + y2 + h2) / t32)
@@ -117,7 +127,7 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
     c02 = k * (-x * h_c / t32)
     c11 = k * ((x2 + 2.0 * y2) / s32 - (x2 + 2.0 * y2 + h2) / t32)
     c12 = k * (-y * h_c / t32)
-    c22 = k * (1.0 / math.sqrt(s) - (s + 2.0 * h2) / t32)
+    c22 = _exact_zz(s, h_c, young_modulus)
     return np.array(
         [
             [c00, c01, c02],
@@ -206,11 +216,7 @@ def bc_resolved_zz(
     s = x * x + y * y
     if s == 0.0:
         return cn
-    h2 = h_c * h_c
-    t = s + h2
-    k = 3.0 / (4.0 * math.pi * young_modulus)
-    exact = k * (1.0 / math.sqrt(s) - (s + 2.0 * h2) / (t * math.sqrt(t)))
-    return bc_resolved_coefficient(exact, cn)
+    return bc_resolved_coefficient(_exact_zz(s, h_c, young_modulus), cn)
 
 
 def bc_switch_radius(
@@ -224,7 +230,7 @@ def bc_switch_radius(
     _, cn = bc_approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
 
     def wins_exact(r):
-        return abs(_exact_zz(r, h_c, young_modulus)) <= cn
+        return abs(_exact_zz(r * r, h_c, young_modulus)) <= cn
 
     r_hi = h_c + spread_radius(cell_area)
     while not wins_exact(r_hi):
@@ -243,11 +249,3 @@ def bc_switch_radius(
         else:
             r_lo = mid
     return 0.5 * (r_lo + r_hi)
-
-
-def _exact_zz(r: float, h_c: float, young_modulus: float) -> float:
-    h2 = h_c * h_c
-    s = r * r
-    t = s + h2
-    k = 3.0 / (4.0 * math.pi * young_modulus)
-    return k * (1.0 / r - (s + 2.0 * h2) / (t * math.sqrt(t)))

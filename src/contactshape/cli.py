@@ -52,7 +52,6 @@ def _load_params(path) -> ElastomerParams:
 def _add_common(ap, grids=("grid",)):
     ap.add_argument("--params", help="JSON file overriding material constants")
     ap.add_argument("--out", help="output file (defaults to stdout where sensible)")
-    ap.add_argument("--seed", type=int, default=0, help="seed for any randomized input")
     for g in grids:
         ap.add_argument("--%s" % g, required=True, help="%s file" % g.replace("-", " "))
 
@@ -191,13 +190,14 @@ def _cmd_reconstruct(args):
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report.as_dict(), fh, indent=1)
+    rank = "" if report.rank is None else ", rank %d" % report.rank
     print(
-        "%s/%s solve: residual %.3e, rank %d, online %.2f ms"
+        "%s/%s solve: residual %.3e%s, online %.2f ms"
         % (
             report.model,
             report.constraint_mode,
             report.residual_norm,
-            report.rank,
+            rank,
             report.timings_ms["online_ms"],
         )
     )
@@ -208,14 +208,9 @@ def _cmd_resample(args):
     tg = load_grid(args.tract_grid, "traction")
     ng = load_grid(args.new_grid, "displacement")
     q = read_field(args.tractions, tg)
-    mat = pipeline._obtain_matrix(
-        args.model, tg, ng, params, True, args.psi, args.cache_dir
-    )
-    out = assembly.apply_forward(mat, q)
-    from .grid import FieldVector
-
-    write_field(FieldVector(out, ng), args.out or "resampled.dat")
-    print("resampled field written to %s" % (args.out or "resampled.dat"))
+    out = args.out or "resampled.dat"
+    write_field(pipeline.forward_solve(q, args.model, ng, params, args.psi, args.cache_dir), out)
+    print("resampled field written to %s" % out)
 
 
 def _cmd_compare(args):
@@ -287,11 +282,8 @@ def _cmd_synth(args):
     print("pressures written to %s (total force %.3f N)" % (out, float(np.sum(q.values * g.areas()))))
     if args.displacements_out:
         dg = g.retag("displacement")
-        mat = pipeline._obtain_matrix(args.model, g, dg, params, True, args.psi, args.cache_dir)
-        dv = assembly.apply_forward(mat, q)
-        from .grid import FieldVector
-
-        write_field(FieldVector(dv, dg), args.displacements_out)
+        d = pipeline.forward_solve(q, args.model, dg, params, args.psi, args.cache_dir)
+        write_field(d, args.displacements_out)
         print("displacements written to %s" % args.displacements_out)
 
 

@@ -39,10 +39,8 @@ displacement minus the displacement at depth h_c, per unit pressure.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidArgumentError, OracleFailureError
 
@@ -216,32 +214,42 @@ def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray
 
     jx0 = _surface_tangential_j(a, b, x, y, scale)
     jy0 = _surface_tangential_j(b, a, y, x, scale)
-    l0 = _surface_normal_l(a, b, x, y, scale)
 
     zscale = scale + h_c
     jxh, logxh = _tangential_parts(a, b, x, y, h_c, zscale)
     jyh, logyh = _tangential_parts(b, a, y, x, h_c, zscale)
-    lh, arch = _normal_parts(a, b, x, y, h_c, zscale)
 
     cx = -(1.0 / _4PI) * (one_m2nu * inv_g * (jx0 - jxh) - inv_g * h_c * logxh)
     cy = -(1.0 / _4PI) * (one_m2nu * inv_g * (jy0 - jyh) - inv_g * h_c * logyh)
-    cz = (1.0 / _4PI) * (2.0 * (1.0 - nu) * inv_g * (l0 - lh) - inv_g * h_c * arch)
+    cz = love_effective_zz(x, y, a, b, h_c, E, nu)
     return np.array([cx, cy, cz])
 
 
-def love_influence_column(disp_grid, k: int, tract_grid, n: int, params, h_c=None) -> np.ndarray:
-    """Column block for sensing node k of one grid and cell n of another."""
-    from .grid import node_delta  # local import to avoid a cycle
+def love_effective_zz(
+    x: float, y: float, a: float, b: float, h_c: float, young_modulus: float, poisson_ratio: float
+) -> float:
+    """Normal effective displacement per unit pressure on one cell.
 
-    if h_c is None:
-        h_c = params.nominal_thickness
-    cell = tract_grid.cells[n]
-    return love_effective_column(
-        node_delta(disp_grid, k, tract_grid, n), (cell.a, cell.b), h_c, params
+    The z entry of ``love_effective_column`` for the offset (x, y) and
+    half-extents (a, b).  Nothing is checked here: callers pass a > 0,
+    b > 0 and h_c > 0, as validated cells and parameters guarantee.
+    """
+    scale = a + b + abs(x) + abs(y)
+    inv_g = 2.0 * (1.0 + poisson_ratio) / young_modulus
+    l0 = _surface_normal_l(a, b, x, y, scale)
+    lh, arch = _normal_parts(a, b, x, y, h_c, scale + h_c)
+    return (1.0 / _4PI) * (
+        2.0 * (1.0 - poisson_ratio) * inv_g * (l0 - lh) - inv_g * h_c * arch
     )
 
 
 def _quad1(g, lo, hi, tol, breakpoints=None):
+    # scipy is imported here, by the quadrature oracle alone, so that
+    # importing the package does not pay for it
+    import warnings
+
+    from scipy import integrate
+
     pts = None
     if breakpoints:
         pts = [p for p in breakpoints if lo < p < hi]

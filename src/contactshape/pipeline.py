@@ -92,7 +92,7 @@ class SolveReport:
     model: str
     constraint_mode: str
     psi_mode: str
-    rank: int
+    rank: int | None  # truncated SVD rank; None on ``nonneg``
     timings_ms: dict
     converged: bool = True
 
@@ -108,17 +108,18 @@ class SolveReport:
         }
 
 
-def _obtain_matrix(model, tract_grid, disp_grid, params, normal_only, psi_mode, cache_dir):
+def _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir):
+    """Normal-only matrix from the cache, else assembled (and cached)."""
     if cache_dir is not None:
         mat = assembly.load_matrix(
-            cache_dir, model, tract_grid, disp_grid, params, normal_only, psi_mode
+            cache_dir, model, tract_grid, disp_grid, params, True, psi_mode
         )
         if mat is not None:
             return mat
-        mat = assembly.assemble(model, tract_grid, disp_grid, params, normal_only, psi_mode)
+        mat = assembly.assemble(model, tract_grid, disp_grid, params, True, psi_mode)
         assembly.save_matrix(mat, cache_dir)
         return mat
-    return assembly.assemble(model, tract_grid, disp_grid, params, normal_only, psi_mode)
+    return assembly.assemble(model, tract_grid, disp_grid, params, True, psi_mode)
 
 
 def reconstruct(
@@ -145,7 +146,7 @@ def reconstruct(
     dv = displacements.values if isinstance(displacements, FieldVector) else np.asarray(
         displacements, dtype=float
     )
-    mat = _obtain_matrix(model, tract_grid, disp_grid, params, True, psi_mode, cache_dir)
+    mat = _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir)
     if dv.shape != (mat.entries.shape[0],):
         raise InvalidArgumentError(
             "displacement vector length %d does not match %d sensing nodes"
@@ -167,7 +168,7 @@ def reconstruct(
         timings["inversion_ms"] = 0.0
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         q = res.x
-        rank = min(mat.entries.shape)
+        rank = None
         converged = res.converged
     recon = mat.entries @ q
     residual = float(np.linalg.norm(recon - dv))
@@ -184,6 +185,23 @@ def reconstruct(
     )
 
 
+def forward_solve(
+    tractions: FieldVector,
+    model: str,
+    disp_grid: Grid,
+    params: ElastomerParams,
+    psi_mode: str = "const",
+    cache_dir=None,
+) -> FieldVector:
+    """Effective displacements the tractions produce on ``disp_grid``.
+
+    The normal-only matrix comes from ``cache_dir`` when it holds one for
+    exactly these inputs; otherwise it is assembled, and saved there.
+    """
+    mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)
+    return FieldVector(assembly.apply_forward(mat, tractions), disp_grid)
+
+
 def resample(
     report: SolveReport,
     new_disp_grid: Grid,
@@ -191,16 +209,9 @@ def resample(
     cache_dir=None,
 ) -> FieldVector:
     """Forward-solve the reconstructed tractions onto another sensing grid."""
-    mat = _obtain_matrix(
-        report.model,
-        report.tractions.grid,
-        new_disp_grid,
-        params,
-        True,
-        report.psi_mode,
-        cache_dir,
+    return forward_solve(
+        report.tractions, report.model, new_disp_grid, params, report.psi_mode, cache_dir
     )
-    return FieldVector(assembly.apply_forward(mat, report.tractions), new_disp_grid)
 
 
 @dataclass(frozen=True)

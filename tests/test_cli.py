@@ -120,6 +120,31 @@ def test_reconstruct_from_readings(grid_file, tmp_path, capsys):
     assert total == pytest.approx(1.0, rel=1e-6)
 
 
+def test_nonneg_report_has_no_rank(grid_file, tmp_path, capsys):
+    d_path = tmp_path / "d.dat"
+    assert main([
+        "synth", "--grid", str(grid_file), "--shape", "hemisphere",
+        "--diameter", "4e-3", "--center", "3e-3,3e-3", "--force", "1.0",
+        "--out", str(tmp_path / "q.dat"), "--displacements-out", str(d_path), "--model", "bc",
+    ]) == 0
+    rep_path = tmp_path / "rep.json"
+    code, out, _ = run(
+        [
+            "reconstruct", "--model", "bc",
+            "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--displacements", str(d_path), "--constraint", "nonneg",
+            "--out", str(tmp_path / "rec.dat"), "--report", str(rep_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    summary = out.strip().splitlines()[-1]
+    assert summary.startswith("bc/nonneg solve") and "rank" not in summary
+    report = json.loads(rep_path.read_text())
+    assert report["constraint_mode"] == "nonneg"
+    assert "rank" in report and report["rank"] is None
+
+
 def test_reconstruct_needs_exactly_one_source(grid_file, tmp_path, capsys):
     code, _, err = run(
         [
@@ -175,6 +200,22 @@ def test_compare_command(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert "love peak" in text and "bc[const] peak" in text and "bc[exact] peak" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["assemble", "--tract-grid", "g", "--disp-grid", "g"],
+        ["reconstruct", "--tract-grid", "g", "--disp-grid", "g"],
+        ["resample", "--tract-grid", "g", "--new-grid", "g", "--tractions", "q"],
+        ["synth", "--grid", "g", "--shape", "cylinder", "--diameter", "1e-3", "--force", "1"],
+    ],
+)
+def test_seed_is_only_an_fme_demo_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_fme_demo_command(capsys):

@@ -7,12 +7,9 @@ from contactshape import (
     ElastomerParams,
     InvalidArgumentError,
     bc_point_displacement,
-    build_regular_grid,
     love_displacement,
     love_effective_column,
-    love_influence_column,
     love_potential_oracle,
-    node_delta,
 )
 from contactshape.love import _integrate_cell
 
@@ -130,16 +127,6 @@ def test_column_is_surface_minus_depth(incompressible):
             - love_displacement(1.0, (A, B), (x, y, h), incompressible)
         )
         np.testing.assert_allclose(col, diff, rtol=1e-9, atol=1e-24)
-
-
-def test_influence_column_uses_node_offsets(incompressible):
-    disp = build_regular_grid((0.0, 0.0), 3, 2, 2e-3, 2e-3, kind="displacement")
-    tract = build_regular_grid((1e-3, -1e-3), 2, 2, 3e-3, 3e-3)
-    col = love_influence_column(disp, 4, tract, 1, incompressible)
-    delta = node_delta(disp, 4, tract, 1)
-    cell = tract.cells[1]
-    want = love_effective_column(delta, (cell.a, cell.b), incompressible.nominal_thickness, incompressible)
-    np.testing.assert_array_equal(col, want)
 
 
 def test_uz_against_potential_quadrature(incompressible):

@@ -10,6 +10,7 @@ from contactshape import (
     benchmark,
     build_regular_grid,
     compare_models,
+    forward_solve,
     reconstruct,
     resample,
     synth_contact,
@@ -105,6 +106,7 @@ def test_reconstruct_nonneg_never_negative(pad, params):
     assert np.all(pinned.tractions.values >= 0.0)
     assert pinned.converged
     assert pinned.constraint_mode == "nonneg"
+    assert pinned.rank is None and pinned.as_dict()["rank"] is None  # NNLS computes no rank
     # both explain the data to a comparable degree
     assert pinned.residual_norm <= 10 * free.residual_norm + 1e-9
 
@@ -149,6 +151,18 @@ def test_resample_is_forward_solve(pad, params):
     mat2 = assemble("love", tract, coarse, params)
     np.testing.assert_allclose(out.values, apply_forward(mat2, report.tractions.values), rtol=1e-12)
     assert out.grid is coarse
+
+
+def test_forward_solve_is_resample_bitwise(pad, params, tmp_path):
+    tract, disp = pad
+    q_true = synth_contact(IndenterSpec("cylinder", 7e-3, (5e-3, 7e-3), 1.2), tract)
+    report = reconstruct(apply_forward(assemble("bc", tract, disp, params), q_true), "bc", tract, disp, params)
+    coarse = build_regular_grid((1e-3, 0.0), 4, 3, 3e-3, 3e-3, kind="displacement")
+    want = resample(report, coarse, params).values
+    for cache_dir in (None, tmp_path, tmp_path):  # uncached, cold cache, warm cache
+        got = forward_solve(report.tractions, "bc", coarse, params, cache_dir=cache_dir)
+        assert got.grid is coarse
+        np.testing.assert_array_equal(got.values, want)
 
 
 def test_compare_models_profiles(params):

@@ -1,0 +1,57 @@
+"""Structural checks on the package source: module boundaries and imports."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import contactshape
+
+PACKAGE_DIR = pathlib.Path(contactshape.__file__).parent
+
+
+def private_reach_ins(package_dir=PACKAGE_DIR):
+    """``file:line name`` for every use of another module's private name.
+
+    That is an attribute access ``<sibling module>._name`` or an import
+    ``from .<sibling module> import _name``.
+    """
+    modules = {p.stem for p in package_dir.glob("*.py")}
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names = ["%s.%s" % (node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in modules:
+                names = ["%s.%s" % (node.module, a.name) for a in node.names]
+            for name in names:
+                if name.rsplit(".", 1)[1].startswith("_"):
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
+    return found
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert private_reach_ins() == []
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy only serves the quadrature oracle, so importing the package
+    or its command line front end must not load it."""
+    code = (
+        "import sys, contactshape, contactshape.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+    )
+    assert out.stdout.strip() == "[]"
