@@ -81,7 +81,6 @@ from .sensor import (
 )
 from .solvers import (
     InequalitySystem,
-    NnlsOptions,
     NnlsResult,
     fme_eliminate,
     fme_eliminate_all,

@@ -63,11 +63,8 @@ class InverseOperator:
     """Moore-Penrose pseudo-inverse of an influence matrix."""
 
     pinv: np.ndarray
-    matrix: InfluenceMatrix
-    svd_rtol: float
     rank: int
     singular_values: np.ndarray
-    inversion_seconds: float = 0.0
 
 
 def _validate(model: str, psi_mode: str, params) -> None:
@@ -135,24 +132,23 @@ def assemble(
     )
 
 
-def precompute_inverse(mat: InfluenceMatrix, svd_rtol: float = DEFAULT_SVD_RTOL) -> InverseOperator:
-    """Truncated-SVD pseudo-inverse of the influence matrix."""
-    if not (svd_rtol > 0.0):
-        raise InvalidArgumentError("svd_rtol must be positive")
-    t0 = time.perf_counter()
+def precompute_inverse(mat: InfluenceMatrix) -> InverseOperator:
+    """Truncated-SVD pseudo-inverse of the influence matrix.
+
+    Singular values below DEFAULT_SVD_RTOL times the largest are dropped.
+    """
     try:
         u, s, vt = np.linalg.svd(mat.entries, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("singular value decomposition failed: %s" % exc) from exc
     _counters["factorizations"] += 1
-    cutoff = svd_rtol * (s[0] if len(s) else 0.0)
+    cutoff = DEFAULT_SVD_RTOL * (s[0] if len(s) else 0.0)
     keep = s > cutoff
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     pinv = (vt.T * inv_s) @ u.T
-    dt = time.perf_counter() - t0
-    return InverseOperator(pinv, mat, svd_rtol, rank, s, dt)
+    return InverseOperator(pinv, rank, s)
 
 
 def apply_forward(mat: InfluenceMatrix, q) -> np.ndarray:

@@ -68,16 +68,18 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
 
     ``offset`` is (x, y, z) from the load application point; the load
     acts on the surface z = 0, displacements are sought at z >= 0.
+    The load point raises SingularPointError, and so does any offset so
+    small (below about 1e-103 m) that rho^3 underflows to zero.
     """
     fx, fy, fz = (float(f) for f in force)
     x, y, z = (float(c) for c in offset)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
     rho2 = x * x + y * y + z * z
-    if rho2 == 0.0:
-        raise SingularPointError("point-load displacement diverges at the load point")
     rho = math.sqrt(rho2)
     rho3 = rho2 * rho
+    if rho3 == 0.0:
+        raise SingularPointError("point-load displacement diverges at the load point")
     k = 3.0 / (4.0 * math.pi * young_modulus)
     ux = k * (fx * (1.0 / rho + x * x / rho3) + fy * x * y / rho3 + fz * x * z / rho3)
     uy = k * (fx * x * y / rho3 + fy * (1.0 / rho + y * y / rho3) + fz * y * z / rho3)

@@ -49,9 +49,9 @@ def _load_params(path) -> ElastomerParams:
     return ElastomerParams(**data)
 
 
-def _add_common(ap, grids=("grid",)):
+def _add_common(ap, grids, out_help):
     ap.add_argument("--params", help="JSON file overriding material constants")
-    ap.add_argument("--out", help="output file (defaults to stdout where sensible)")
+    ap.add_argument("--out", help=out_help)
     for g in grids:
         ap.add_argument("--%s" % g, required=True, help="%s file" % g.replace("-", " "))
 
@@ -78,12 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("assemble", help="assemble and cache an influence matrix")
     _model_args(a)
-    _add_common(a, grids=("tract-grid", "disp-grid"))
+    _add_common(a, ("tract-grid", "disp-grid"), "save the entries here as .npy")
     a.add_argument("--full", action="store_true", help="all force components, not just normal")
 
     r = sub.add_parser("reconstruct", help="tractions from a displacement or readings file")
     _model_args(r)
-    _add_common(r, grids=("tract-grid", "disp-grid"))
+    _add_common(
+        r, ("tract-grid", "disp-grid"),
+        "write the tractions here (without it only the summary line is printed)",
+    )
     r.add_argument("--displacements", help="plot-data displacement file on the sensing grid")
     r.add_argument("--readings", help="capacitance readings file instead of displacements")
     r.add_argument("--tolerant", action="store_true", help="clamp negative readings to zero")
@@ -92,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("resample", help="forward-solve tractions onto another grid")
     _model_args(s)
-    _add_common(s, grids=("tract-grid", "new-grid"))
+    _add_common(
+        s, ("tract-grid", "new-grid"), "displacement file to write (default resampled.dat)"
+    )
     s.add_argument("--tractions", required=True, help="plot-data traction file")
 
     c = sub.add_parser("compare", help="effective deflection of both models on a line")
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     y = sub.add_parser("synth", help="synthetic indenter pressures (and displacements)")
     _model_args(y)
-    _add_common(y, grids=("grid",))
+    _add_common(y, ("grid",), "pressure file to write (default pressures.dat)")
     y.add_argument("--shape", choices=pipeline.INDENTER_SHAPES, required=True)
     y.add_argument("--diameter", type=float, required=True, help="meters")
     y.add_argument("--center", default="0,0", help="x,y in meters")

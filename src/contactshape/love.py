@@ -32,8 +32,11 @@ form w * f with f divergent has a removable w -> 0 limit of zero; the
 code forces that limit explicitly, so evaluations are finite for any
 z >= 0 including cell edges and corners.
 
-The effective influence of a cell on a sensing node is the surface
-displacement minus the displacement at depth h_c, per unit pressure.
+Each component has one implementation (``_ux``, which gives uy with
+the axes swapped, and ``_uz``), valid for every z >= 0; at z = 0 the
+terms carrying an explicit factor z are skipped rather than evaluated.
+The effective influence of a cell on a sensing node is that same form
+at the surface minus its value at depth h_c, per unit pressure.
 """
 
 from __future__ import annotations
@@ -62,16 +65,10 @@ def _add_sqrt(u: float, s: float) -> float:
     return s / (r - u)
 
 
-def _rbp(c: float, dy: float, z: float) -> tuple[float, float, float]:
-    r = math.sqrt(c * c + dy * dy + z * z)
-    beta = math.sqrt(c * c + z * z)
-    den = r + beta
-    psi = dy / den if den > 0.0 else 0.0
-    return r, beta, psi
-
-
 def _term_J(c: float, dy: float, z: float, scale: float) -> float:
-    r, beta, psi = _rbp(c, dy, z)
+    beta = math.sqrt(c * c + z * z)
+    den = math.sqrt(c * c + dy * dy + z * z) + beta
+    psi = dy / den if den > 0.0 else 0.0
     t = 0.0
     if abs(dy) > EDGE_WEIGHT_TOL * scale:
         t += dy * (math.log(_add_sqrt(z, c * c + dy * dy)) - 1.0)
@@ -83,18 +80,24 @@ def _term_J(c: float, dy: float, z: float, scale: float) -> float:
 
 
 def _term_L(c: float, dy: float, z: float, scale: float) -> float:
-    r, beta, psi = _rbp(c, dy, z)
+    den = math.sqrt(c * c + dy * dy + z * z) + math.sqrt(c * c + z * z)
+    psi = dy / den if den > 0.0 else 0.0
     t = 0.0
     if abs(dy) > EDGE_WEIGHT_TOL * scale:
         t += dy * (math.log(_add_sqrt(c, dy * dy + z * z)) - 1.0)
     if abs(c) > EDGE_WEIGHT_TOL * scale:
         t += c * math.log((1.0 + psi) / (1.0 - psi))
-    t += 2.0 * z * math.atan2(z * psi, _add_sqrt(c, z * z))
+    if z != 0.0:
+        t += 2.0 * z * math.atan2(z * psi, _add_sqrt(c, z * z))
     return t
 
 
-def _tangential_parts(a: float, b: float, x: float, y: float, z: float, scale: float):
-    """Bracketed (J2 - J1) and log terms entering the x displacement."""
+def _ux(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -> float:
+    """x displacement per unit pressure; uy is _ux(b, a, y, x, ...).
+
+    The bracketed (J2 - J1) difference plus the z-weighted log term.
+    """
+    scale = a + b + abs(x) + abs(y) + z
     c1 = a - x
     c2 = -(a + x)
     val_j = 0.0
@@ -106,23 +109,30 @@ def _tangential_parts(a: float, b: float, x: float, y: float, z: float, scale: f
             num = _add_sqrt(dy, c2 * c2 + z * z)
             den = _add_sqrt(dy, c1 * c1 + z * z)
             val_log += sgn * math.log(num / den)
-    return val_j, val_log
+    inv_g = 2.0 * (1.0 + nu) / E
+    return -(1.0 / _4PI) * ((1.0 - 2.0 * nu) * inv_g * val_j + inv_g * z * val_log)
 
 
-def _normal_parts(a: float, b: float, x: float, y: float, z: float, scale: float):
-    """Bracketed (L1 - L2) and arctangent terms entering the z displacement."""
+def _uz(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -> float:
+    """z displacement per unit pressure.
+
+    The bracketed (L1 - L2) difference plus the z-weighted arctangent sum.
+    """
+    scale = a + b + abs(x) + abs(y) + z
     c1 = a - x
     c2 = -(a + x)
     val_l = 0.0
     val_arc = 0.0
     for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
         val_l += sgn * (_term_L(c1, dy, z, scale) - _term_L(c2, dy, z, scale))
-        r1 = math.sqrt(c1 * c1 + dy * dy + z * z)
-        r2 = math.sqrt(c2 * c2 + dy * dy + z * z)
-        val_arc += sgn * (
-            math.atan2((a - x) * dy, z * r1) + math.atan2((a + x) * dy, z * r2)
-        )
-    return val_l, val_arc
+        if z != 0.0:
+            r1 = math.sqrt(c1 * c1 + dy * dy + z * z)
+            r2 = math.sqrt(c2 * c2 + dy * dy + z * z)
+            val_arc += sgn * (
+                math.atan2((a - x) * dy, z * r1) + math.atan2((a + x) * dy, z * r2)
+            )
+    inv_g = 2.0 * (1.0 + nu) / E
+    return (1.0 / _4PI) * (2.0 * (1.0 - nu) * inv_g * val_l + inv_g * z * val_arc)
 
 
 def _check_cell_point(cell, pt) -> tuple[float, float, float, float, float]:
@@ -148,81 +158,26 @@ def love_displacement(p: float, cell, pt, params) -> np.ndarray:
     a, b, x, y, z = _check_cell_point(cell, pt)
     E = params.young_modulus
     nu = params.poisson_ratio
-    scale = a + b + abs(x) + abs(y) + z
-    inv_g = 2.0 * (1.0 + nu) / E
-
-    jx, logx = _tangential_parts(a, b, x, y, z, scale)
-    jy, logy = _tangential_parts(b, a, y, x, z, scale)
-    lv, arc = _normal_parts(a, b, x, y, z, scale)
-
-    ux = -(p / _4PI) * ((1.0 - 2.0 * nu) * inv_g * jx + inv_g * z * logx)
-    uy = -(p / _4PI) * ((1.0 - 2.0 * nu) * inv_g * jy + inv_g * z * logy)
-    uz = (p / _4PI) * (2.0 * (1.0 - nu) * inv_g * lv + inv_g * z * arc)
-    return np.array([ux, uy, uz])
-
-
-def _surface_tangential_j(a: float, b: float, x: float, y: float, scale: float) -> float:
-    """(J2 - J1) bracket specialized to z = 0; the z log term is absent."""
-    c1 = a - x
-    c2 = -(a + x)
-    val = 0.0
-    for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        for c, csgn in ((c2, 1.0), (c1, -1.0)):
-            r = math.sqrt(c * c + dy * dy)
-            ac = abs(c)
-            t = 2.0 * ac * math.atan2(ac * dy, (r + ac) * ac) if ac > 0.0 else 0.0
-            if abs(dy) > EDGE_WEIGHT_TOL * scale:
-                t += dy * (math.log(r) - 1.0)
-            val += sgn * csgn * t
-    return val
-
-
-def _surface_normal_l(a: float, b: float, x: float, y: float, scale: float) -> float:
-    """(L1 - L2) bracket specialized to z = 0; the arctangent term is absent."""
-    c1 = a - x
-    c2 = -(a + x)
-    val = 0.0
-    for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        for c, csgn in ((c1, 1.0), (c2, -1.0)):
-            r = math.sqrt(c * c + dy * dy)
-            ac = abs(c)
-            t = 0.0
-            if abs(dy) > EDGE_WEIGHT_TOL * scale:
-                t += dy * (math.log(_add_sqrt(c, dy * dy)) - 1.0)
-            if ac > EDGE_WEIGHT_TOL * scale:
-                den = r + ac
-                t += c * math.log((den + dy) / (den - dy))
-            val += sgn * csgn * t
-    return val
+    return p * np.array(
+        [_ux(a, b, x, y, z, E, nu), _ux(b, a, y, x, z, E, nu), _uz(a, b, x, y, z, E, nu)]
+    )
 
 
 def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray:
     """Effective displacement per unit pressure on one cell.
 
     ``delta`` is the in-plane offset of the sensing node from the cell
-    center.  Surface terms use dedicated z = 0 forms (their z-weighted
-    parts vanish identically); the depth terms use the full expressions.
+    center.  Each component is the same closed form evaluated at the
+    surface minus its value at depth h_c.
     """
     a, b, x, y, _ = _check_cell_point(half_extents, (delta[0], delta[1], 0.0))
     if not (h_c > 0.0):
         raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
     E = params.young_modulus
     nu = params.poisson_ratio
-    scale = a + b + abs(x) + abs(y)
-    inv_g = 2.0 * (1.0 + nu) / E
-    one_m2nu = 1.0 - 2.0 * nu
-
-    jx0 = _surface_tangential_j(a, b, x, y, scale)
-    jy0 = _surface_tangential_j(b, a, y, x, scale)
-
-    zscale = scale + h_c
-    jxh, logxh = _tangential_parts(a, b, x, y, h_c, zscale)
-    jyh, logyh = _tangential_parts(b, a, y, x, h_c, zscale)
-
-    cx = -(1.0 / _4PI) * (one_m2nu * inv_g * (jx0 - jxh) - inv_g * h_c * logxh)
-    cy = -(1.0 / _4PI) * (one_m2nu * inv_g * (jy0 - jyh) - inv_g * h_c * logyh)
-    cz = love_effective_zz(x, y, a, b, h_c, E, nu)
-    return np.array([cx, cy, cz])
+    cx = _ux(a, b, x, y, 0.0, E, nu) - _ux(a, b, x, y, h_c, E, nu)
+    cy = _ux(b, a, y, x, 0.0, E, nu) - _ux(b, a, y, x, h_c, E, nu)
+    return np.array([cx, cy, love_effective_zz(x, y, a, b, h_c, E, nu)])
 
 
 def love_effective_zz(
@@ -234,13 +189,8 @@ def love_effective_zz(
     half-extents (a, b).  Nothing is checked here: callers pass a > 0,
     b > 0 and h_c > 0, as validated cells and parameters guarantee.
     """
-    scale = a + b + abs(x) + abs(y)
-    inv_g = 2.0 * (1.0 + poisson_ratio) / young_modulus
-    l0 = _surface_normal_l(a, b, x, y, scale)
-    lh, arch = _normal_parts(a, b, x, y, h_c, scale + h_c)
-    return (1.0 / _4PI) * (
-        2.0 * (1.0 - poisson_ratio) * inv_g * (l0 - lh) - inv_g * h_c * arch
-    )
+    E, nu = young_modulus, poisson_ratio
+    return _uz(a, b, x, y, 0.0, E, nu) - _uz(a, b, x, y, h_c, E, nu)
 
 
 def _quad1(g, lo, hi, tol, breakpoints=None):

@@ -24,6 +24,8 @@ CONSTRAINT_MODES = ("free", "nonneg")
 
 DEFAULT_MAX_FORCE = 3.0  # N; matches the probe range the skin is rated for
 
+BENCHMARK_PITCH = 2e-3  # m, cell pitch of the assembly-timing grids
+
 
 @dataclass(frozen=True)
 class IndenterSpec:
@@ -131,8 +133,6 @@ def reconstruct(
     constraint: str = "free",
     psi_mode: str = "const",
     cache_dir=None,
-    svd_rtol: float = assembly.DEFAULT_SVD_RTOL,
-    nnls_options: solvers.NnlsOptions | None = None,
 ) -> SolveReport:
     """Recover node tractions from a measured displacement field.
 
@@ -156,7 +156,7 @@ def reconstruct(
     converged = True
     if constraint == "free":
         t0 = time.perf_counter()
-        op = assembly.precompute_inverse(mat, svd_rtol)
+        op = assembly.precompute_inverse(mat)
         timings["inversion_ms"] = 1e3 * (time.perf_counter() - t0)
         t0 = time.perf_counter()
         q = assembly.apply_inverse(op, dv)
@@ -164,7 +164,7 @@ def reconstruct(
         rank = op.rank
     else:
         t0 = time.perf_counter()
-        res = solvers.nnls_solve(mat.entries, dv, nnls_options)
+        res = solvers.nnls_solve(mat.entries, dv)
         timings["inversion_ms"] = 0.0
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         q = res.x
@@ -242,13 +242,13 @@ def compare_models(
     params: ElastomerParams,
     n_samples: int = 101,
     x_max: float | None = None,
-    psi_modes: tuple[str, ...] = ("const", "exact"),
 ) -> ModelComparison:
     """Both models' effective normal deflection on a line through the cell.
 
     One rectangular cell at the origin carries the uniform pressure; the
-    point-load model concentrates the equivalent force at the center.
-    Samples run along y = 0 with x = 0 in the middle of the range.
+    point-load model concentrates the equivalent force at the center and
+    is profiled once per psi mode.  Samples run along y = 0 with x = 0
+    in the middle of the range.
     """
     a, b = half_extents
     if not (a > 0.0 and b > 0.0):
@@ -271,7 +271,7 @@ def compare_models(
         ]
     )
     bc_uz = {}
-    for mode in psi_modes:
+    for mode in boussinesq.PSI_MODES:
         bc_uz[mode] = np.array(
             [
                 boussinesq.bc_resolved_zz(x, 0.0, area, h, E, mode) * force
@@ -309,9 +309,9 @@ def benchmark(
     sizes=(25, 100, 400, 1600),
     repetitions: int = 1,
     params: ElastomerParams | None = None,
-    pitch: float = 2e-3,
 ) -> BenchmarkResult:
-    """Time matrix assembly on square n-cell grids (n a perfect square).
+    """Time matrix assembly on square n-cell grids (n a perfect square)
+    of BENCHMARK_PITCH spacing.
 
     Reported times are medians over the repetitions; the exponent is the
     least-squares slope of log(time) against log(cells).
@@ -324,7 +324,7 @@ def benchmark(
         side = math.isqrt(n)
         if side * side != n:
             raise InvalidArgumentError("benchmark sizes must be perfect squares, got %d" % n)
-        g = build_regular_grid((0.0, 0.0), side, side, pitch, pitch)
+        g = build_regular_grid((0.0, 0.0), side, side, BENCHMARK_PITCH, BENCHMARK_PITCH)
         grids.append((g, g.retag("displacement")))
     times = {m: [] for m in models}
     for m in models:

@@ -14,24 +14,21 @@ offered at desk scale, optionally in exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
+# KKT tolerance relative to ||C^T d||_inf, the iteration limit, and the
+# number of non-improving full swaps before single pivoting takes over
 NNLS_KKT_RTOL = 1e-10
+NNLS_MAX_ITERATIONS = 300
+NNLS_BACKUP_TRIGGER = 3
 
 FME_MAX_VARS = 25
 FME_MAX_ROWS = 10**6
-
-
-@dataclass(frozen=True)
-class NnlsOptions:
-    max_iterations: int = 300
-    kkt_tolerance: float | None = None  # None: 1e-10 * ||C^T d||_inf
-    backup_rule_trigger: int = 3  # non-improving full swaps before single pivoting
 
 
 @dataclass(frozen=True)
@@ -43,14 +40,13 @@ class NnlsResult:
     kkt_tolerance: float
 
 
-def nnls_solve(C, d, options: NnlsOptions | None = None) -> NnlsResult:
+def nnls_solve(C, d) -> NnlsResult:
     """Minimize ||C x - d|| subject to x >= 0 by block principal pivoting.
 
     Returns the solution with x clamped exactly non-negative.  If the
     iteration limit is hit the best iterate is returned with
     ``converged`` False rather than raising.
     """
-    opts = options or NnlsOptions()
     C = np.asarray(C, dtype=float)
     d = np.asarray(d, dtype=float)
     if C.ndim != 2 or d.ndim != 1 or C.shape[0] != d.shape[0]:
@@ -59,23 +55,19 @@ def nnls_solve(C, d, options: NnlsOptions | None = None) -> NnlsResult:
         )
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(d))):
         raise InvalidArgumentError("matrix and data must be finite")
-    if opts.max_iterations < 1 or opts.backup_rule_trigger < 1:
-        raise InvalidArgumentError("iteration limits must be positive")
 
     n = C.shape[1]
     ctd = C.T @ d
-    tol = opts.kkt_tolerance
-    if tol is None:
-        tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
+    tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
 
     free = np.zeros(n, dtype=bool)
     x = np.zeros(n)
     y = -ctd
     best_infeasible = n + 1
-    slack = opts.backup_rule_trigger
+    slack = NNLS_BACKUP_TRIGGER
     iterations = 0
     converged = False
-    while iterations < opts.max_iterations:
+    while iterations < NNLS_MAX_ITERATIONS:
         iterations += 1
         xtol = 1e-12 * max(np.max(np.abs(x)), 1.0)
         bad_x = free & (x < -xtol)
@@ -87,7 +79,7 @@ def nnls_solve(C, d, options: NnlsOptions | None = None) -> NnlsResult:
             break
         if n_bad < best_infeasible:
             best_infeasible = n_bad
-            slack = opts.backup_rule_trigger
+            slack = NNLS_BACKUP_TRIGGER
         else:
             slack -= 1
             if slack < 0:

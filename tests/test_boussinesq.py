@@ -87,8 +87,11 @@ def test_point_displacement_linearity():
 
 
 def test_point_displacement_guards():
-    with pytest.raises(SingularPointError):
-        bc_point_displacement((0, 0, 1), (0.0, 0.0, 0.0), E)
+    # offsets so small that rho^3 underflows are the load point too
+    for offset in [(0.0, 0.0, 0.0), (1e-120, 0.0, 0.0), (0.0, 0.0, 1e-120)]:
+        with pytest.raises(SingularPointError):
+            bc_point_displacement((1, 1, 1), offset, E)
+    assert np.all(np.isfinite(bc_point_displacement((1, 1, 1), (1e-100, 0.0, 0.0), E)))
     with pytest.raises(InvalidArgumentError):
         bc_point_displacement((0, 0, 1), (1e-3, 0.0, -1e-6), E)
 

@@ -145,6 +145,45 @@ def test_nonneg_report_has_no_rank(grid_file, tmp_path, capsys):
     assert "rank" in report and report["rank"] is None
 
 
+def test_reconstruct_without_out_prints_only_the_summary(grid_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    d_path = tmp_path / "d.dat"
+    assert main([
+        "synth", "--grid", str(grid_file), "--shape", "hemisphere",
+        "--diameter", "4e-3", "--center", "3e-3,3e-3", "--force", "1.0",
+        "--out", str(tmp_path / "q.dat"), "--displacements-out", str(d_path), "--model", "bc",
+    ]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    code, out, _ = run(
+        [
+            "reconstruct", "--model", "bc",
+            "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--displacements", str(d_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 and out.startswith("bc/free solve")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_synth_without_out_writes_pressures_dat(grid_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        [
+            "synth", "--grid", str(grid_file), "--shape", "cylinder",
+            "--diameter", "5e-3", "--center", "3e-3,3e-3", "--force", "1.0",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("pressures written to pressures.dat")
+    g = load_grid(grid_file, "traction")
+    q = read_field(tmp_path / "pressures.dat", g).values
+    assert float(np.sum(q * g.areas())) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_reconstruct_needs_exactly_one_source(grid_file, tmp_path, capsys):
     code, _, err = run(
         [

@@ -115,20 +115,6 @@ def test_argument_guards(incompressible):
         love_potential_oracle(P, (A, B), (0, 0, 0), "W")
 
 
-def test_column_is_surface_minus_depth(incompressible):
-    """The dedicated surface forms agree with the generic expression."""
-    h = 2e-3
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        x, y = rng.uniform(-0.01, 0.01, size=2)
-        col = love_effective_column((x, y), (A, B), h, incompressible)
-        diff = (
-            love_displacement(1.0, (A, B), (x, y, 0.0), incompressible)
-            - love_displacement(1.0, (A, B), (x, y, h), incompressible)
-        )
-        np.testing.assert_allclose(col, diff, rtol=1e-9, atol=1e-24)
-
-
 def test_uz_against_potential_quadrature(incompressible):
     """Closed-form surface settlement against direct integration."""
     nu = incompressible.poisson_ratio

@@ -1,7 +1,10 @@
 """Property tests that pin each kernel formula to its single implementation.
 
-Quadrant additivity, exact 1/E scaling, length scaling, and bitwise
-agreement between the per-pair kernels and the matrices built from them.
+Quadrant additivity, exact 1/E scaling, length scaling, bitwise
+agreement between the per-pair kernels and the matrices built from them,
+love's effective column as surface minus depth of its one closed form,
+symmetry of the matrix on a shared grid, and love's far field against
+the point load.
 """
 
 import math
@@ -16,7 +19,9 @@ from contactshape import (
     bc_resolved_block,
     bc_resolved_zz,
     build_regular_grid,
+    love_displacement,
     love_effective_column,
+    love_effective_zz,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -121,3 +126,55 @@ def test_love_matrix_entries_are_column_z_bitwise(origin, pitch, E, nu, h):
         for ck in disp.cells
     ]
     np.testing.assert_array_equal(mat.entries, np.array(want))
+
+
+@SETTINGS
+@given(x=offset, y=offset, a=half, b=half, h=cover, nu=poisson)
+# cell corner and edge: the removable-limit guards act there
+@example(x=2e-3, y=-1e-3, a=2e-3, b=1e-3, h=1e-3, nu=0.3)
+@example(x=0.0, y=1e-3, a=2e-3, b=1e-3, h=1e-3, nu=0.5)
+def test_love_column_is_surface_minus_depth_bitwise(x, y, a, b, h, nu):
+    params = ElastomerParams(poisson_ratio=nu)
+    surface = love_displacement(1.0, (a, b), (x, y, 0.0), params)
+    depth = love_displacement(1.0, (a, b), (x, y, h), params)
+    np.testing.assert_array_equal(love_effective_column((x, y), (a, b), h, params), surface - depth)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    origin=st.tuples(offset, offset),
+    n=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    pitch=st.tuples(half, half),
+    h=cover,
+    nu=poisson,
+    mode=psi_mode,
+)
+def test_matrix_is_symmetric_on_a_shared_grid(origin, n, pitch, h, nu, mode):
+    """Equal cells on one grid: node k on cell l equals node l on cell k."""
+    tract = build_regular_grid(origin, n[0], n[1], pitch[0], pitch[1])
+    disp = tract.retag("displacement")
+    C = assemble("love", tract, disp, ElastomerParams(poisson_ratio=nu, nominal_thickness=h)).entries
+    assert np.max(np.abs(C - C.T)) <= 1e-12 * np.max(np.abs(C))
+    C = assemble("bc", tract, disp, ElastomerParams(nominal_thickness=h), psi_mode=mode).entries
+    np.testing.assert_array_equal(C, C.T)
+
+
+@SETTINGS
+@given(
+    reach=st.floats(20.0, 60.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    a=half,
+    b=half,
+    h=cover,
+    mode=psi_mode,
+)
+def test_love_far_field_is_the_point_load(reach, angle, a, b, h, mode):
+    """At nu = 1/2 and r >= 20 max(a, b, h) the cell acts as its resultant
+    force: love (per unit pressure) matches bc (per unit force) times the
+    cell area."""
+    r = reach * max(a, b, h)
+    x, y = r * math.cos(angle), r * math.sin(angle)
+    E = ElastomerParams().young_modulus
+    area = 4.0 * a * b
+    love_zz = love_effective_zz(x, y, a, b, h, E, 0.5)
+    assert abs(bc_resolved_zz(x, y, area, h, E, mode) * area - love_zz) <= 1e-2 * abs(love_zz)
