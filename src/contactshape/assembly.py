@@ -1,10 +1,11 @@
 """Influence matrix assembly, pseudo-inversion, and disk caching.
 
-The influence matrix C maps node tractions Q to effective displacements
-D = C Q.  Assembly runs one loop over the sensing nodes: each fills its
-row (or, for all force components, its block of three rows) from the
-chosen model's per-pair kernel, called once per traction node, so the
-cost scales with the pair count.
+The influence matrix C maps normal node tractions Q to effective normal
+displacements D = C Q: one row per sensing node and one column per
+traction node, since a capacitive taxel senses only the normal
+compression of the cover.  Assembly runs one loop over the sensing
+nodes: each fills its row from the chosen model's per-pair kernel,
+called once per traction node, so the cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
@@ -17,8 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import threading
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,9 +52,14 @@ def reset_counters() -> None:
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
+    """Normal tractions to normal displacements: one row per sensing node,
+    one column per traction node."""
+
+    # the only shape there is; kept readable for callers that key on it
+    normal_only: ClassVar[bool] = True
+
     entries: np.ndarray
     model: str
-    normal_only: bool
     psi_mode: str
     tract_grid: Grid
     disp_grid: Grid
@@ -78,21 +87,11 @@ def _validate(model: str, psi_mode: str, params) -> None:
         boussinesq.require_incompressible(params.poisson_ratio)
 
 
-def _shape(model: str, normal_only: bool, n_disp: int, n_tract: int) -> tuple[int, int]:
-    """(rows, columns): with all force components, three rows per sensing
-    node, and three columns per traction node for bc (love cells carry
-    a normal pressure only)."""
-    if normal_only:
-        return n_disp, n_tract
-    return 3 * n_disp, (1 if model == "love" else 3) * n_tract
-
-
 def assemble(
     model: str,
     tract_grid: Grid,
     disp_grid: Grid,
     params,
-    normal_only: bool = True,
     psi_mode: str = "const",
 ) -> InfluenceMatrix:
     """Assemble the influence matrix node pair by node pair.
@@ -105,31 +104,18 @@ def assemble(
     h = params.nominal_thickness
     E = params.young_modulus
     nu = params.poisson_ratio
-    # kernel(x, y, cell) of one pair: a float, a 3-vector (love) or a
-    # 3x3 block (bc) per traction cell
+    # kernel(x, y, cell): the normal-normal coefficient of one pair
     if model == "bc":
-        bc_kernel = boussinesq.bc_resolved_zz if normal_only else boussinesq.bc_resolved_block
-        kernel = lambda x, y, cl: bc_kernel(x, y, cl.area, h, E, psi_mode)
-    elif normal_only:
-        kernel = lambda x, y, cl: love.love_effective_zz(x, y, cl.a, cl.b, h, E, nu)
+        kernel = lambda x, y, cl: boussinesq.bc_resolved_zz(x, y, cl.area, h, E, psi_mode)
     else:
-        kernel = lambda x, y, cl: love.love_effective_column((x, y), (cl.a, cl.b), h, params)
-    n_tract = len(tract_grid)
-    rows, cols = _shape(model, normal_only, len(disp_grid), n_tract)
-    per_node = 1 if normal_only else 3
-    entries = np.empty((rows, cols))
+        kernel = lambda x, y, cl: love.love_effective_zz(x, y, cl.a, cl.b, h, E, nu)
+    entries = np.empty((len(disp_grid), len(tract_grid)))
     t0 = time.perf_counter()
     for k, ck in enumerate(disp_grid.cells):
-        row = [kernel(ck.x - cl.x, ck.y - cl.y, cl) for cl in tract_grid.cells]
-        # pair l fills columns l*c to l*c + c - 1 of the node's rows (c = 3 for bc blocks, else 1)
-        entries[per_node * k : per_node * (k + 1)] = (
-            np.asarray(row).reshape(n_tract, per_node, -1).swapaxes(0, 1).reshape(per_node, -1)
-        )
+        entries[k] = [kernel(ck.x - cl.x, ck.y - cl.y, cl) for cl in tract_grid.cells]
     dt = time.perf_counter() - t0
     _counters["assemblies"] += 1
-    return InfluenceMatrix(
-        entries, model, normal_only, psi_mode, tract_grid, disp_grid, params, dt
-    )
+    return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)
 
 
 def precompute_inverse(mat: InfluenceMatrix) -> InverseOperator:
@@ -185,7 +171,12 @@ def matrix_key(
     normal_only: bool,
     psi_mode: str,
 ) -> str:
-    """Exact content hash: any bit difference in the inputs changes it."""
+    """Exact content hash: any bit difference in the inputs changes it.
+
+    Every matrix is normal-only (``InfluenceMatrix.normal_only``); the
+    flag still enters the hash so that keys, and the cache entries saved
+    under them, stay what they have always been.
+    """
     h = hashlib.sha256()
     h.update(model.encode())
     h.update(b"\x01" if normal_only else b"\x00")
@@ -203,24 +194,41 @@ def matrix_key(
     return h.hexdigest()
 
 
-def save_matrix(mat: InfluenceMatrix, cache_dir) -> str:
-    """Store entries plus a header describing exactly what they are."""
-    import os
+def _replace_atomically(path: str, mode: str, write) -> None:
+    """Run ``write(fh)`` on a temporary file beside ``path``, then rename it
+    into place: a concurrent reader sees no file or a whole one, never a
+    partial write, and a failed write leaves nothing behind."""
+    tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
 
+
+def save_matrix(mat: InfluenceMatrix, cache_dir) -> str:
+    """Store entries plus a header describing exactly what they are.
+
+    Each file is written whole before it appears under its name, the
+    entries before the header, so an entry is complete once its header
+    exists.
+    """
     os.makedirs(cache_dir, exist_ok=True)
-    key = matrix_key(
-        mat.model, mat.tract_grid, mat.disp_grid, mat.params, mat.normal_only, mat.psi_mode
+    key = matrix_key(mat.model, mat.tract_grid, mat.disp_grid, mat.params, True, mat.psi_mode)
+    _replace_atomically(
+        os.path.join(cache_dir, key + ".npy"), "wb", lambda fh: np.save(fh, mat.entries)
     )
-    np.save(os.path.join(cache_dir, key + ".npy"), mat.entries)
     header = {
         "key": key,
         "model": mat.model,
-        "normal_only": mat.normal_only,
         "psi_mode": mat.psi_mode,
         "shape": list(mat.entries.shape),
     }
-    with open(os.path.join(cache_dir, key + ".json"), "w") as fh:
-        json.dump(header, fh, indent=1)
+    _replace_atomically(
+        os.path.join(cache_dir, key + ".json"), "w", lambda fh: json.dump(header, fh, indent=1)
+    )
     return key
 
 
@@ -230,17 +238,14 @@ def load_matrix(
     tract_grid: Grid,
     disp_grid: Grid,
     params,
-    normal_only: bool = True,
     psi_mode: str = "const",
 ) -> InfluenceMatrix | None:
     """Cached matrix for exactly these inputs, or None.
 
-    A present-but-inconsistent cache entry is treated as a miss with a
-    warning, so callers fall back to re-assembly.
+    A present-but-unreadable or inconsistent cache entry is treated as a
+    miss with a warning, so callers fall back to re-assembly.
     """
-    import os
-
-    key = matrix_key(model, tract_grid, disp_grid, params, normal_only, psi_mode)
+    key = matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
     npy = os.path.join(cache_dir, key + ".npy")
     hdr = os.path.join(cache_dir, key + ".json")
     if not (os.path.exists(npy) and os.path.exists(hdr)):
@@ -249,17 +254,16 @@ def load_matrix(
         with open(hdr) as fh:
             header = json.load(fh)
         entries = np.load(npy)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:
+        # EOFError: an empty .npy, as a plain writer leaves it right after opening it
         logger.warning("unreadable cache entry %s (%s); re-assembling", key, exc)
         return None
     if (
-        header.get("model") != model
-        or header.get("normal_only") != normal_only
+        not isinstance(header, dict)
+        or header.get("model") != model
         or header.get("psi_mode") != psi_mode
-        or entries.shape != _shape(model, normal_only, len(disp_grid), len(tract_grid))
+        or entries.shape != (len(disp_grid), len(tract_grid))
     ):
         logger.warning("cache entry %s does not match its request; re-assembling", key)
         return None
-    return InfluenceMatrix(
-        entries, model, normal_only, psi_mode, tract_grid, disp_grid, params, 0.0
-    )
+    return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, 0.0)

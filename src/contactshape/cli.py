@@ -11,6 +11,7 @@ assembly cost.  Errors exit nonzero after printing a single line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -33,15 +34,7 @@ def _load_params(path) -> ElastomerParams:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InvalidArgumentError("cannot read params file %s: %s" % (path, exc)) from exc
-    allowed = {
-        "young_modulus",
-        "poisson_ratio",
-        "nominal_thickness",
-        "permittivity_vacuum",
-        "permittivity_relative",
-        "taxel_area",
-    }
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in dataclasses.fields(ElastomerParams)}
     if unknown:
         raise InvalidArgumentError(
             "params file %s: unknown keys %s" % (path, sorted(unknown))
@@ -79,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("assemble", help="assemble and cache an influence matrix")
     _model_args(a)
     _add_common(a, ("tract-grid", "disp-grid"), "save the entries here as .npy")
-    a.add_argument("--full", action="store_true", help="all force components, not just normal")
 
     r = sub.add_parser("reconstruct", help="tractions from a displacement or readings file")
     _model_args(r)
@@ -155,9 +147,7 @@ def _cmd_assemble(args):
     params = _load_params(args.params)
     tg = load_grid(args.tract_grid, "traction")
     dg = load_grid(args.disp_grid, "displacement")
-    mat = assembly.assemble(
-        args.model, tg, dg, params, normal_only=not args.full, psi_mode=args.psi
-    )
+    mat = assembly.assemble(args.model, tg, dg, params, psi_mode=args.psi)
     if args.cache_dir:
         key = assembly.save_matrix(mat, args.cache_dir)
         print("cached %s matrix %s (%dx%d), assembly %.1f ms" % (
@@ -252,13 +242,18 @@ def _cmd_fme_demo(args):
         "random system: %d rows, %d vars, seed %d%s"
         % (args.rows, args.vars, args.seed, ", exact" if args.exact else "")
     )
-    n0 = system.n_rows
+    n0 = bound = system.n_rows
+    limit = solvers.FME_MAX_ROWS
     for step in range(system.n_vars):
         system = solvers.fme_eliminate(system, step)
-        bound = solvers.fme_worst_case_count(n0, step + 1)
+        # one step leaves at most max(m, m^2/4) of m rows; iterated, that is
+        # the classical 4 (n/4)^(2^p).  fme_eliminate stops past the row
+        # limit, so the bound need not grow beyond it.
+        if bound <= limit:
+            bound = max(bound, int(solvers.fme_worst_case_count(bound, 1)))
         print(
             "after eliminating x%d: %d rows (worst case from %d rows: %s)"
-            % (step, system.n_rows, n0, bound)
+            % (step, system.n_rows, n0, bound if bound <= limit else "over %d" % limit)
         )
     print("feasible: %s" % solvers.fme_feasible(system))
 

@@ -209,7 +209,7 @@ def load_grid(path, kind: str = "traction") -> Grid:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Values bound to a grid: one scalar per cell, or three per cell."""
+    """Values bound to a grid: one scalar per cell."""
 
     values: np.ndarray
     grid: Grid
@@ -218,14 +218,10 @@ class FieldVector:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         n = len(self.grid)
-        if vals.ndim != 1 or len(vals) not in (n, 3 * n):
+        if vals.shape != (n,):
             raise InvalidArgumentError(
-                "field length %d does not match grid of %d cells" % (len(vals), n)
+                "field of shape %s does not match grid of %d cells" % (vals.shape, n)
             )
-
-    @property
-    def per_cell(self) -> int:
-        return len(self.values) // len(self.grid)
 
 
 def write_field(fv: FieldVector, path) -> None:
@@ -234,8 +230,6 @@ def write_field(fv: FieldVector, path) -> None:
     On a regular grid, records are grouped into blank-line separated
     rows of constant y so the file plots directly as a surface.
     """
-    if fv.per_cell != 1:
-        raise InvalidArgumentError("only scalar per-cell fields are written to plot files")
     cells = fv.grid.cells
     lines = []
     prev_y = None

@@ -111,17 +111,15 @@ class SolveReport:
 
 
 def _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir):
-    """Normal-only matrix from the cache, else assembled (and cached)."""
+    """The matrix from the cache, else assembled (and cached)."""
     if cache_dir is not None:
-        mat = assembly.load_matrix(
-            cache_dir, model, tract_grid, disp_grid, params, True, psi_mode
-        )
+        mat = assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode)
         if mat is not None:
             return mat
-        mat = assembly.assemble(model, tract_grid, disp_grid, params, True, psi_mode)
+        mat = assembly.assemble(model, tract_grid, disp_grid, params, psi_mode)
         assembly.save_matrix(mat, cache_dir)
         return mat
-    return assembly.assemble(model, tract_grid, disp_grid, params, True, psi_mode)
+    return assembly.assemble(model, tract_grid, disp_grid, params, psi_mode)
 
 
 def reconstruct(
@@ -195,7 +193,7 @@ def forward_solve(
 ) -> FieldVector:
     """Effective displacements the tractions produce on ``disp_grid``.
 
-    The normal-only matrix comes from ``cache_dir`` when it holds one for
+    The matrix comes from ``cache_dir`` when it holds one for
     exactly these inputs; otherwise it is assembled, and saved there.
     """
     mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)
@@ -261,15 +259,11 @@ def compare_models(
         x_max = 6.0 * max(a, b)
     h = params.nominal_thickness
     E = params.young_modulus
+    nu = params.poisson_ratio
     area = 4.0 * a * b
     force = pressure * area
     xs = np.linspace(-x_max, x_max, n_samples)
-    love_uz = np.array(
-        [
-            love.love_effective_column((x, 0.0), (a, b), h, params)[2] * pressure
-            for x in xs
-        ]
-    )
+    love_uz = np.array([love.love_effective_zz(x, 0.0, a, b, h, E, nu) * pressure for x in xs])
     bc_uz = {}
     for mode in boussinesq.PSI_MODES:
         bc_uz[mode] = np.array(
@@ -331,7 +325,7 @@ def benchmark(
         for g, gd in grids:
             runs = []
             for _ in range(repetitions):
-                mat = assembly.assemble(m, g, gd, params, normal_only=True)
+                mat = assembly.assemble(m, g, gd, params)
                 runs.append(mat.assembly_seconds)
             times[m].append(float(np.median(runs)))
     exponents = {}

@@ -260,13 +260,11 @@ def fme_worst_case_count(n: int, p: int):
     Exact arithmetic: 4 * (n/4)**(2*p) as an integer when it divides
     evenly, else a Fraction.  Zero steps leave the n rows untouched.
 
-    Open question: this closed form is the one criterion 7a pins, but it
-    equals the largest pairing count only for p <= 2.  Past that the
-    classical Fourier-Motzkin bound is 4 * (n/4)**(2**p), so the
-    "worst case" column of ``fme-demo`` can undercount real eliminations:
-    the 8-row, 4-variable system with seed 8 reaches 407 rows after 3
-    steps against a printed bound of 256.  Which form is meant is not
-    settled here, so the behaviour is left as it is.
+    The value equals the classical Fourier-Motzkin bound 4 * (n/4)**(2**p)
+    only for p <= 2.  Past that it undercounts real eliminations (8 rows
+    over 4 variables, ``fme-demo`` seed 8, reach 407 rows after 3 steps,
+    where this gives 256), so ``fme-demo`` iterates the one-step bound
+    instead.
     """
     if n < 0 or p < 0:
         raise InvalidArgumentError("row and step counts must be non-negative")

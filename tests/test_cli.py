@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -257,11 +258,30 @@ def test_seed_is_only_an_fme_demo_option(argv, capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_assemble_has_no_full_option(grid_file, capsys):
+    """Every matrix is normal-only: a taxel senses one normal compression."""
+    with pytest.raises(SystemExit) as exc:
+        main(["assemble", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file), "--full"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --full" in capsys.readouterr().err
+
+
 def test_fme_demo_command(capsys):
     code, out, _ = run(["fme-demo", "--vars", "3", "--rows", "6", "--seed", "2", "--exact"], capsys)
     assert code == 0
     assert "worst case" in out
     assert out.strip().endswith(("feasible: True", "feasible: False"))
+    # seed 8 reaches 407 rows after three steps: more than 4 (8/4)^(2*3), within
+    # the iterated bound 4 (8/4)^(2^3)
+    code, out, _ = run(["fme-demo", "--vars", "4", "--rows", "8", "--seed", "8"], capsys)
+    assert code == 0
+    steps = re.findall(r": (\d+) rows \(worst case from 8 rows: (\d+)\)", out)
+    assert [int(n) for n, _ in steps] == [15, 44, 407, 0]
+    assert all(int(n) <= int(bound) for n, bound in steps)
+    # five rows that never blow up run every step while the bound passes the row limit
+    code, out, _ = run(["fme-demo", "--vars", "12", "--rows", "5", "--seed", "0"], capsys)
+    assert code == 0
+    assert "worst case from 5 rows: over 1000000)" in out
 
 
 def test_benchmark_command(capsys):

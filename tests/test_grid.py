@@ -115,9 +115,9 @@ def test_grid_file_errors(tmp_path):
 def test_field_vector_length_check():
     g = build_regular_grid((0, 0), 2, 2, 1e-3, 1e-3)
     FieldVector(np.zeros(4), g)
-    FieldVector(np.zeros(12), g)
-    with pytest.raises(InvalidArgumentError):
-        FieldVector(np.zeros(5), g)
+    for bad in (np.zeros(5), np.zeros(12), np.zeros((4, 1)), np.float64(0.0)):
+        with pytest.raises(InvalidArgumentError):
+            FieldVector(bad, g)
 
 
 def test_field_file_roundtrip(tmp_path):

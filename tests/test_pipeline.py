@@ -11,6 +11,7 @@ from contactshape import (
     build_regular_grid,
     compare_models,
     forward_solve,
+    love_effective_column,
     reconstruct,
     resample,
     synth_contact,
@@ -176,6 +177,12 @@ def test_compare_models_profiles(params):
         assert cmp.peak_location(which) == 0.0
     # the spread-load profile is even in x
     np.testing.assert_allclose(cmp.love_uz, cmp.love_uz[::-1], rtol=1e-10)
+    # the love profile is the z entry of the effective column, bit for bit
+    want = [
+        love_effective_column((x, 0.0), (5e-4, 2e-4), params.nominal_thickness, params)[2] * 1e5
+        for x in cmp.x
+    ]
+    np.testing.assert_array_equal(cmp.love_uz, want)
 
 
 def test_compare_models_guards(params):
