@@ -40,13 +40,11 @@ from .errors import (
     UnsupportedModelError,
 )
 from .grid import (
-    Cell,
     FieldVector,
     Grid,
     build_regular_grid,
     grid_from_taxel_layout,
     load_grid,
-    node_delta,
     read_field,
     save_grid,
     write_field,

@@ -3,14 +3,16 @@
 The influence matrix C maps normal node tractions Q to effective normal
 displacements D = C Q: one row per sensing node and one column per
 traction node, since a capacitive taxel senses only the normal
-compression of the cover.  Assembly runs one loop over the sensing
-nodes: each fills its row from the chosen model's per-pair kernel,
-called once per traction node, so the cost scales with the pair count.
+compression of the cover.  Assembly runs one loop over the rows
+(x, y, a, b) of the sensing grid's (n, 4) cell array: each fills its
+matrix row from the chosen model's per-pair kernel, called with Python
+floats once per traction cell, so the cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
 Assembled matrices and inverse operators can be cached on disk, keyed
-by an exact hash of everything that determines their entries.
+by an exact hash of everything that determines their entries, including
+the bytes of both grids' cell arrays.
 """
 
 from __future__ import annotations
@@ -104,15 +106,17 @@ def assemble(
     h = params.nominal_thickness
     E = params.young_modulus
     nu = params.poisson_ratio
-    # kernel(x, y, cell): the normal-normal coefficient of one pair
+    # kernel(x, y, a, b): the normal-normal coefficient of one pair
     if model == "bc":
-        kernel = lambda x, y, cl: boussinesq.bc_resolved_zz(x, y, cl.area, h, E, psi_mode)
+        kernel = lambda x, y, a, b: boussinesq.bc_resolved_zz(x, y, 4.0 * a * b, h, E, psi_mode)
     else:
-        kernel = lambda x, y, cl: love.love_effective_zz(x, y, cl.a, cl.b, h, E, nu)
-    entries = np.empty((len(disp_grid), len(tract_grid)))
+        kernel = lambda x, y, a, b: love.love_effective_zz(x, y, a, b, h, E, nu)
+    tract = tract_grid.cells.tolist()
+    disp = disp_grid.cells.tolist()
+    entries = np.empty((len(disp), len(tract)))
     t0 = time.perf_counter()
-    for k, ck in enumerate(disp_grid.cells):
-        entries[k] = [kernel(ck.x - cl.x, ck.y - cl.y, cl) for cl in tract_grid.cells]
+    for k, (xk, yk, _, _) in enumerate(disp):
+        entries[k] = [kernel(xk - x, yk - y, a, b) for x, y, a, b in tract]
     dt = time.perf_counter() - t0
     _counters["assemblies"] += 1
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)
@@ -144,6 +148,8 @@ def apply_forward(mat: InfluenceMatrix, q) -> np.ndarray:
             "traction vector length %d does not match matrix width %d"
             % (len(qv), mat.entries.shape[1])
         )
+    if not np.all(np.isfinite(qv)):
+        raise InvalidArgumentError("traction vector must be finite")
     return mat.entries @ qv
 
 
@@ -154,13 +160,14 @@ def apply_inverse(op: InverseOperator, d) -> np.ndarray:
             "displacement vector length %d does not match matrix height %d"
             % (len(dv), op.pinv.shape[1])
         )
+    if not np.all(np.isfinite(dv)):
+        raise InvalidArgumentError("displacement vector must be finite")
     return op.pinv @ dv
 
 
 def _grid_digest(h, grid: Grid) -> None:
     h.update(grid.kind.encode())
-    arr = np.array([(c.x, c.y, c.a, c.b) for c in grid.cells])
-    h.update(arr.tobytes())
+    h.update(grid.cells.tobytes())
 
 
 def matrix_key(

@@ -260,7 +260,12 @@ def _cmd_fme_demo(args):
 
 def _cmd_benchmark(args):
     params = _load_params(args.params)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            "--sizes must be comma-separated integers, got %r" % args.sizes
+        ) from exc
     models = tuple(m.strip() for m in args.models.split(","))
     result = pipeline.benchmark(models, sizes, args.repetitions, params)
     text = "\n".join(result.summary_lines()) + "\n"

@@ -2,14 +2,16 @@
 
 A grid discretizes one face of the elastomer layer: either the traction
 side (where contact pressure acts) or the displacement side (where taxel
-centers sit).  Cells are axis-aligned rectangles described by a center
-and two half-extents.  All positions and extents are in meters.
+centers sit).  Cells are axis-aligned rectangles, and a grid stores them
+as one read-only (n, 4) float64 array with one row (x, y, a, b) per
+cell: the center and the two half-extents.  All positions and extents
+are in meters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,46 +28,39 @@ GRID_HEADER = "index,center_x_m,center_y_m,half_extent_a_m,half_extent_b_m"
 KINDS = ("traction", "displacement")
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Axis-aligned rectangular cell: center (x, y), half-extents (a, b)."""
-
-    x: float
-    y: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        # store plain floats so file round trips see native reprs
-        for name in ("x", "y", "a", "b"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise InvalidArgumentError(
-                "cell half-extents must be positive, got a=%r b=%r" % (self.a, self.b)
-            )
-
-    @property
-    def area(self) -> float:
-        return 4.0 * self.a * self.b
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Immutable collection of cells with a side tag.
+    """Cells as a read-only (n, 4) array of rows (x, y, a, b), with a side tag.
 
-    ``spacing`` is derived metadata (set when the centers form a uniform
-    lattice) and is deliberately excluded from equality comparisons.
+    The array is copied and validated once, on construction: n >= 1,
+    every value finite, every half-extent positive.  It cannot be written
+    afterwards, so the geometry a cache key was hashed from stays the
+    geometry of the grid.  ``spacing`` (dx, dy) is set when the centers
+    form a uniform lattice; when not given it is detected here.  Grids
+    compare by identity.
     """
 
-    cells: tuple[Cell, ...]
+    cells: np.ndarray
     kind: str = "traction"
-    spacing: tuple[float, float] | None = field(default=None, compare=False)
+    spacing: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError("grid kind must be one of %s" % (KINDS,))
-        if not self.cells:
-            raise InvalidArgumentError("grid needs at least one cell")
+        cells = np.array(self.cells, dtype=np.float64, order="C")
+        if cells.ndim != 2 or cells.shape[1] != 4 or len(cells) == 0:
+            raise InvalidArgumentError("grid needs a non-empty (n, 4) array of cells")
+        ok = np.isfinite(cells).all(axis=1) & (cells[:, 2] > 0.0) & (cells[:, 3] > 0.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise InvalidArgumentError(
+                "cell %d: center and half-extents must be finite and the half-extents "
+                "positive, got %r" % (k, tuple(cells[k].tolist()))
+            )
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        if self.spacing is None:
+            object.__setattr__(self, "spacing", _detect_lattice(cells[:, :2]))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -75,11 +70,11 @@ class Grid:
         return self.spacing is not None
 
     def centers(self) -> np.ndarray:
-        """(n, 2) array of cell centers."""
-        return np.array([(c.x, c.y) for c in self.cells], dtype=float)
+        """(n, 2) read-only view of the cell centers."""
+        return self.cells[:, :2]
 
     def areas(self) -> np.ndarray:
-        return np.array([c.area for c in self.cells], dtype=float)
+        return 4.0 * self.cells[:, 2] * self.cells[:, 3]
 
     def retag(self, kind: str) -> "Grid":
         """Same geometry under a different side tag."""
@@ -103,13 +98,13 @@ def build_regular_grid(
         raise InvalidArgumentError("grid dimensions must be at least 1x1")
     if not (dx > 0.0 and dy > 0.0):
         raise InvalidArgumentError("cell pitch must be positive")
-    ox, oy = float(origin[0]), float(origin[1])
-    cells = []
-    for j in range(ny):
-        cy = oy + (j + 0.5) * dy
-        for i in range(nx):
-            cells.append(Cell(ox + (i + 0.5) * dx, cy, 0.5 * dx, 0.5 * dy))
-    return Grid(tuple(cells), kind, (dx, dy))
+    x, y = np.meshgrid(
+        float(origin[0]) + (np.arange(nx) + 0.5) * dx,
+        float(origin[1]) + (np.arange(ny) + 0.5) * dy,
+    )
+    n = nx * ny
+    cells = np.column_stack((x.ravel(), y.ravel(), np.full(n, 0.5 * dx), np.full(n, 0.5 * dy)))
+    return Grid(cells, kind, (dx, dy))
 
 
 def _detect_lattice(centers: np.ndarray) -> tuple[float, float] | None:
@@ -160,23 +155,15 @@ def grid_from_taxel_layout(
         raise InvalidArgumentError(
             "taxel centers %d and %d coincide within %g m" % (k, l, DUPLICATE_CENTER_TOL)
         )
-    half = 0.5 * math.sqrt(cell_area)
-    cells = tuple(Cell(float(x), float(y), half, half) for x, y in pts)
-    return Grid(cells, kind, _detect_lattice(pts))
-
-
-def node_delta(disp_grid: Grid, k: int, tract_grid: Grid, l: int) -> tuple[float, float]:
-    """In-plane offset (displacement node k) minus (traction node l)."""
-    ck = disp_grid.cells[k]
-    cl = tract_grid.cells[l]
-    return (ck.x - cl.x, ck.y - cl.y)
+    half = np.full(len(pts), 0.5 * math.sqrt(cell_area))
+    return Grid(np.column_stack((pts, half, half)), kind)
 
 
 def save_grid(grid: Grid, path) -> None:
     """Write one line per cell; floats use repr so reading restores bits."""
     lines = [GRID_HEADER]
-    for i, c in enumerate(grid.cells):
-        lines.append("%d,%s,%s,%s,%s" % (i, repr(c.x), repr(c.y), repr(c.a), repr(c.b)))
+    for i, (x, y, a, b) in enumerate(grid.cells.tolist()):
+        lines.append("%d,%r,%r,%r,%r" % (i, x, y, a, b))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -186,25 +173,25 @@ def load_grid(path, kind: str = "traction") -> Grid:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw or raw[0] != GRID_HEADER:
         raise InvalidArgumentError("grid file %s: missing header %r" % (path, GRID_HEADER))
-    cells = []
+    rows = []
     for ln in raw[1:]:
         parts = ln.split(",")
         if len(parts) != 5:
             raise InvalidArgumentError("grid file %s: bad record %r" % (path, ln))
         try:
             idx = int(parts[0])
-            x, y, a, b = (float(p) for p in parts[1:])
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise InvalidArgumentError("grid file %s: bad record %r" % (path, ln)) from exc
-        if idx != len(cells):
+        if idx != len(rows):
             raise InvalidArgumentError(
                 "grid file %s: record index %d out of order" % (path, idx)
             )
-        cells.append(Cell(x, y, a, b))
-    if not cells:
-        raise InvalidArgumentError("grid file %s: no cells" % path)
-    pts = np.array([(c.x, c.y) for c in cells])
-    return Grid(tuple(cells), kind, _detect_lattice(pts))
+        rows.append(row)
+    try:
+        return Grid(np.array(rows), kind)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError("grid file %s: %s" % (path, exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -230,14 +217,13 @@ def write_field(fv: FieldVector, path) -> None:
     On a regular grid, records are grouped into blank-line separated
     rows of constant y so the file plots directly as a surface.
     """
-    cells = fv.grid.cells
     lines = []
     prev_y = None
-    for c, v in zip(cells, fv.values):
-        if fv.grid.regular and prev_y is not None and c.y != prev_y:
+    for (x, y, _, _), v in zip(fv.grid.cells.tolist(), fv.values.tolist()):
+        if fv.grid.regular and prev_y is not None and y != prev_y:
             lines.append("")
-        lines.append("%s %s %s" % (repr(c.x), repr(c.y), repr(float(v))))
-        prev_y = c.y
+        lines.append("%r %r %r" % (x, y, v))
+        prev_y = y
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -308,16 +308,19 @@ def benchmark(
     of BENCHMARK_PITCH spacing.
 
     Reported times are medians over the repetitions; the exponent is the
-    least-squares slope of log(time) against log(cells).
+    least-squares slope of log(time) against log(cells), so at least two
+    distinct sizes are needed.
     """
     if repetitions < 1:
         raise InvalidArgumentError("repetitions must be positive")
+    if len(set(sizes)) < 2:
+        raise InvalidArgumentError("benchmark needs at least two distinct sizes, got %s" % (sizes,))
     params = params or ElastomerParams()
     grids = []
     for n in sizes:
-        side = math.isqrt(n)
-        if side * side != n:
-            raise InvalidArgumentError("benchmark sizes must be perfect squares, got %d" % n)
+        side = math.isqrt(max(n, 0))
+        if n < 1 or side * side != n:
+            raise InvalidArgumentError("benchmark sizes must be positive perfect squares, got %d" % n)
         g = build_regular_grid((0.0, 0.0), side, side, BENCHMARK_PITCH, BENCHMARK_PITCH)
         grids.append((g, g.retag("displacement")))
     times = {m: [] for m in models}

@@ -12,7 +12,9 @@ delta_z = h_n - h_c used by the elastic models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +43,10 @@ class ElastomerParams:
     taxel_area: float = 5e-5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidArgumentError("%s must be a finite number, got %r" % (f.name, value))
         if not (self.young_modulus > 0.0):
             raise InvalidArgumentError("Young modulus must be positive")
         if not (-1.0 < self.poisson_ratio <= 0.5):

@@ -40,7 +40,7 @@ def test_bc_normal_entries_match_kernel(small_grids, params):
         for l in (1, 4, 8):
             ck, cl = disp.cells[k], tract.cells[l]
             want = bc_resolved_zz(
-                ck.x - cl.x, ck.y - cl.y, cl.area, h, params.young_modulus
+                ck[0] - cl[0], ck[1] - cl[1], 4.0 * cl[2] * cl[3], h, params.young_modulus
             )
             assert mat.entries[k, l] == want
 
@@ -53,7 +53,7 @@ def test_love_normal_entries_match_column(small_grids, params):
         for l in (3, 8):
             ck, cl = disp.cells[k], tract.cells[l]
             want = love_effective_column(
-                (ck.x - cl.x, ck.y - cl.y), (cl.a, cl.b), h, params
+                (ck[0] - cl[0], ck[1] - cl[1]), (cl[2], cl[3]), h, params
             )[2]
             assert mat.entries[k, l] == pytest.approx(want, rel=1e-15)
 
@@ -109,6 +109,19 @@ def test_apply_shape_guards(small_grids, params):
         apply_forward(mat, np.ones(8))
     with pytest.raises(InvalidArgumentError):
         apply_inverse(op, np.ones(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_rejects_non_finite_vectors(small_grids, params, bad):
+    tract, disp = small_grids
+    mat = assemble("bc", tract, disp, params)
+    op = precompute_inverse(mat)
+    v = np.ones(9)
+    v[4] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        apply_forward(mat, v)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        apply_inverse(op, v)
 
 
 def test_matrix_key_sensitivity(small_grids, params):

@@ -40,7 +40,7 @@ def test_make_grid(tmp_path, capsys):
     assert "8-cell" in out
     g = load_grid(path, "traction")
     assert len(g) == 8
-    assert g.cells[0].x == pytest.approx(1.5e-3)
+    assert g.cells[0, 0] == pytest.approx(1.5e-3)
 
 
 def test_synth_and_reconstruct_displacements(grid_file, tmp_path, capsys):
@@ -288,6 +288,57 @@ def test_benchmark_command(capsys):
     code, out, _ = run(["benchmark", "--sizes", "4,16", "--models", "bc"], capsys)
     assert code == 0
     assert "fitted cost exponent" in out
+
+
+def single_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: invalid-argument:")
+
+
+@pytest.mark.parametrize("sizes", ["25,abc", "25", "25,25", "4,16.0"])
+def test_benchmark_bad_sizes_are_one_error_line(sizes, capsys):
+    code, out, err = run(["benchmark", "--sizes", sizes, "--models", "bc"], capsys)
+    assert code == 1
+    assert "exponent" not in out
+    single_error_line(err)
+
+
+# record fields: index, x, y, a, b
+@pytest.mark.parametrize("field,value", [(1, "nan"), (2, "inf"), (3, "-Infinity"), (4, "inf")])
+def test_reconstruct_rejects_non_finite_grid_file(grid_file, tmp_path, capsys, field, value):
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e-6\n" for _ in range(9)))
+    lines = grid_file.read_text().splitlines()
+    record = lines[5].split(",")  # cell 4
+    record[field] = value
+    lines[5] = ",".join(record)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for grids in ((bad, grid_file), (grid_file, bad)):
+        code, out, err = run(
+            [
+                "reconstruct", "--tract-grid", str(grids[0]), "--disp-grid", str(grids[1]),
+                "--displacements", str(d_path),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        single_error_line(err)
+
+
+@pytest.mark.parametrize("key", ["nominal_thickness", "young_modulus"])
+def test_compare_rejects_infinite_params(tmp_path, capsys, key):
+    p = tmp_path / "params.json"
+    p.write_text('{"%s": Infinity}' % key)
+    code, out, err = run(
+        ["compare", "--pressure", "1e5", "--half-x", "5e-4", "--half-y", "2e-4",
+         "--params", str(p)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert key in err
 
 
 def test_assemble_command_caches(grid_file, tmp_path, capsys):

@@ -4,29 +4,70 @@ import numpy as np
 import pytest
 
 from contactshape import (
-    Cell,
     FieldVector,
     Grid,
     InvalidArgumentError,
     build_regular_grid,
     grid_from_taxel_layout,
     load_grid,
-    node_delta,
     read_field,
     save_grid,
     write_field,
 )
 
+HEADER = "index,center_x_m,center_y_m,half_extent_a_m,half_extent_b_m\n"
+
 
 def test_cell_rejects_nonpositive_extents():
     with pytest.raises(InvalidArgumentError):
-        Cell(0.0, 0.0, 0.0, 1e-3)
+        Grid(np.array([[0.0, 0.0, 0.0, 1e-3]]))
     with pytest.raises(InvalidArgumentError):
-        Cell(0.0, 0.0, 1e-3, -1e-3)
+        Grid(np.array([[0.0, 0.0, 1e-3, 1e-3], [0.0, 0.0, 1e-3, -1e-3]]))
 
 
 def test_cell_area():
-    assert Cell(0.0, 0.0, 1e-3, 2e-3).area == pytest.approx(8e-6)
+    assert Grid(np.array([[0.0, 0.0, 1e-3, 2e-3]])).areas()[0] == pytest.approx(8e-6)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_non_finite_cells(k, bad):
+    row = [0.0, 0.0, 1e-3, 1e-3]
+    row[k] = bad
+    with pytest.raises(InvalidArgumentError):
+        Grid(np.array([[1e-3, 1e-3, 1e-3, 1e-3], row]))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4,), (3, 3), (2, 4, 1)])
+def test_grid_rejects_malformed_arrays(shape):
+    with pytest.raises(InvalidArgumentError):
+        Grid(np.ones(shape))
+
+
+def test_grid_cells_are_a_read_only_copy():
+    """A cache key hashes the cell bytes, so they must not change under it."""
+    src = np.array([[0.0, 0.0, 1e-3, 1e-3], [2e-3, 0.0, 1e-3, 1e-3]])
+    g = Grid(src)
+    src[0, 0] = 5.0
+    assert g.cells[0, 0] == 0.0 and g.cells.dtype == np.float64
+    with pytest.raises(ValueError):
+        g.cells[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.centers()[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        g.retag("displacement").cells[1, 2] = 1.0
+    np.testing.assert_array_equal(g.cells, [[0.0, 0.0, 1e-3, 1e-3], [2e-3, 0.0, 1e-3, 1e-3]])
+
+
+@pytest.mark.parametrize(
+    "record", ["0,nan,0.0,1e-3,1e-3", "0,0.0,inf,1e-3,1e-3", "0,0.0,0.0,inf,1e-3",
+               "0,0.0,0.0,1e-3,-Infinity", "0,0.0,0.0,1e-3,NaN"],
+)
+def test_load_grid_rejects_non_finite_geometry(tmp_path, record):
+    p = tmp_path / "g.csv"
+    p.write_text(HEADER + record + "\n")
+    with pytest.raises(InvalidArgumentError, match="grid file"):
+        load_grid(p)
 
 
 def test_regular_grid_row_major_centers():
@@ -38,7 +79,7 @@ def test_regular_grid_row_major_centers():
     np.testing.assert_allclose(c[0], [1e-3, 0.5e-3])
     np.testing.assert_allclose(c[1], [3e-3, 0.5e-3])
     np.testing.assert_allclose(c[3], [1e-3, 1.5e-3])
-    assert g.cells[0].a == 1e-3 and g.cells[0].b == 0.5e-3
+    assert g.cells[0, 2] == 1e-3 and g.cells[0, 3] == 0.5e-3
 
 
 def test_regular_grid_validation():
@@ -50,14 +91,6 @@ def test_regular_grid_validation():
         Grid((), "traction")
     with pytest.raises(InvalidArgumentError):
         build_regular_grid((0, 0), 2, 2, 1e-3, 1e-3, kind="bogus")
-
-
-def test_node_delta():
-    gt = build_regular_grid((0.0, 0.0), 2, 2, 2e-3, 2e-3)
-    gd = build_regular_grid((1e-3, 0.0), 2, 2, 2e-3, 2e-3, "displacement")
-    dx, dy = node_delta(gd, 0, gt, 3)
-    assert dx == pytest.approx(2e-3 - 3e-3)
-    assert dy == pytest.approx(1e-3 - 3e-3)
 
 
 def test_taxel_layout_duplicate_centers_rejected():
@@ -94,7 +127,7 @@ def test_grid_roundtrip_bit_exact(tmp_path, module_grid):
         g2 = load_grid(path)
         assert len(g2) == len(g)
         for c, c2 in zip(g.cells, g2.cells):
-            for v, v2 in zip((c.x, c.y, c.a, c.b), (c2.x, c2.y, c2.a, c2.b)):
+            for v, v2 in zip(c, c2):
                 assert struct.pack("<d", v) == struct.pack("<d", v2)
         assert g2.regular == g.regular
 

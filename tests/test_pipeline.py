@@ -216,3 +216,21 @@ def test_benchmark_guards(params):
         benchmark(sizes=(5,), params=params)
     with pytest.raises(InvalidArgumentError):
         benchmark(sizes=(4,), repetitions=0, params=params)
+
+
+@pytest.mark.parametrize("sizes", [(25,), (25, 25), (-4, 4)])
+def test_benchmark_needs_two_distinct_perfect_squares(params, sizes):
+    with pytest.raises(InvalidArgumentError):
+        benchmark(models=("bc",), sizes=sizes, params=params)
+
+
+def test_non_finite_vectors_are_rejected(pad, params):
+    tract, disp = pad
+    d = np.full(len(disp), 1e-5)
+    d[3] = np.nan
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        reconstruct(d, "bc", tract, disp, params, constraint="free")
+    q = np.ones(len(tract))
+    q[0] = np.inf
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        forward_solve(FieldVector(q, tract), "bc", disp, params)

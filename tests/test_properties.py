@@ -120,10 +120,10 @@ def test_love_matrix_entries_are_column_z_bitwise(origin, pitch, E, nu, h):
     mat = assemble("love", tract, disp, params)
     want = [
         [
-            love_effective_column((ck.x - cl.x, ck.y - cl.y), (cl.a, cl.b), h, params)[2]
-            for cl in tract.cells
+            love_effective_column((xk - x, yk - y), (a, b), h, params)[2]
+            for x, y, a, b in tract.cells.tolist()
         ]
-        for ck in disp.cells
+        for xk, yk, _, _ in disp.cells.tolist()
     ]
     np.testing.assert_array_equal(mat.entries, np.array(want))
 
