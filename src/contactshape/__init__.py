@@ -25,8 +25,10 @@ from .assembly import (
     apply_forward,
     apply_inverse,
     assemble,
+    load_inverse,
     load_matrix,
     precompute_inverse,
+    save_inverse,
     save_matrix,
 )
 from .errors import (

@@ -10,9 +10,11 @@ floats once per traction cell, so the cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
-Assembled matrices and inverse operators can be cached on disk, keyed
-by an exact hash of everything that determines their entries, including
-the bytes of both grids' cell arrays.
+Assembled matrices can be cached on disk, keyed by an exact hash of
+everything that determines their entries, including the bytes of both
+grids' cell arrays; their inverse operators are cached beside them,
+keyed by that hash plus the SVD cutoff, so a warm cache factorizes
+nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import logging
 import os
 import threading
 import time
+import zipfile
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -122,6 +125,12 @@ def assemble(
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)
 
 
+def _kept(s: np.ndarray) -> np.ndarray:
+    """Which of the descending singular values ``s`` the truncation keeps:
+    those above DEFAULT_SVD_RTOL times the largest."""
+    return s > DEFAULT_SVD_RTOL * (s[0] if len(s) else 0.0)
+
+
 def precompute_inverse(mat: InfluenceMatrix) -> InverseOperator:
     """Truncated-SVD pseudo-inverse of the influence matrix.
 
@@ -132,13 +141,11 @@ def precompute_inverse(mat: InfluenceMatrix) -> InverseOperator:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("singular value decomposition failed: %s" % exc) from exc
     _counters["factorizations"] += 1
-    cutoff = DEFAULT_SVD_RTOL * (s[0] if len(s) else 0.0)
-    keep = s > cutoff
-    rank = int(np.count_nonzero(keep))
+    keep = _kept(s)
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     pinv = (vt.T * inv_s) @ u.T
-    return InverseOperator(pinv, rank, s)
+    return InverseOperator(pinv, int(np.count_nonzero(keep)), s)
 
 
 def apply_forward(mat: InfluenceMatrix, q) -> np.ndarray:
@@ -201,6 +208,20 @@ def matrix_key(
     return h.hexdigest()
 
 
+def _key_of(mat: InfluenceMatrix) -> str:
+    return matrix_key(mat.model, mat.tract_grid, mat.disp_grid, mat.params, True, mat.psi_mode)
+
+
+def inverse_key(mat: InfluenceMatrix) -> str:
+    """Key of the truncated-SVD inverse of ``mat``: its matrix key plus the
+    cutoff DEFAULT_SVD_RTOL, which decides the rank and so the entries."""
+    h = hashlib.sha256()
+    h.update(_key_of(mat).encode())
+    h.update(b"pinv")
+    h.update(np.float64(DEFAULT_SVD_RTOL).tobytes())
+    return h.hexdigest()
+
+
 def _replace_atomically(path: str, mode: str, write) -> None:
     """Run ``write(fh)`` on a temporary file beside ``path``, then rename it
     into place: a concurrent reader sees no file or a whole one, never a
@@ -215,6 +236,23 @@ def _replace_atomically(path: str, mode: str, write) -> None:
             os.unlink(tmp)
 
 
+# What reading a damaged entry raises.  EOFError: an empty file, as a
+# plain writer leaves it right after opening it; BadZipFile: bytes that
+# begin like a zip archive, which np.load opens as one.
+_UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile)
+
+
+def _read_arrays(path, count: int) -> list:
+    """The ``count`` float64 arrays that np.save wrote one after another
+    into ``path``; ValueError if the file holds anything else."""
+    with open(path, "rb") as fh:
+        arrays = [np.load(fh) for _ in range(count)]
+    for a in arrays:
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64):
+            raise ValueError("not a float64 array")
+    return arrays
+
+
 def save_matrix(mat: InfluenceMatrix, cache_dir) -> str:
     """Store entries plus a header describing exactly what they are.
 
@@ -223,7 +261,7 @@ def save_matrix(mat: InfluenceMatrix, cache_dir) -> str:
     exists.
     """
     os.makedirs(cache_dir, exist_ok=True)
-    key = matrix_key(mat.model, mat.tract_grid, mat.disp_grid, mat.params, True, mat.psi_mode)
+    key = _key_of(mat)
     _replace_atomically(
         os.path.join(cache_dir, key + ".npy"), "wb", lambda fh: np.save(fh, mat.entries)
     )
@@ -260,9 +298,8 @@ def load_matrix(
     try:
         with open(hdr) as fh:
             header = json.load(fh)
-        entries = np.load(npy)
-    except (OSError, ValueError, EOFError) as exc:
-        # EOFError: an empty .npy, as a plain writer leaves it right after opening it
+        (entries,) = _read_arrays(npy, 1)
+    except _UNREADABLE as exc:
         logger.warning("unreadable cache entry %s (%s); re-assembling", key, exc)
         return None
     if (
@@ -274,3 +311,43 @@ def load_matrix(
         logger.warning("cache entry %s does not match its request; re-assembling", key)
         return None
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, 0.0)
+
+
+def save_inverse(op: InverseOperator, mat: InfluenceMatrix, cache_dir) -> str:
+    """Store the inverse operator of ``mat`` under ``inverse_key(mat)``.
+
+    The file ``<key>.pinv`` holds the pseudo-inverse and then the
+    singular values, written whole before it appears under its name.
+    """
+    os.makedirs(cache_dir, exist_ok=True)
+    key = inverse_key(mat)
+
+    def write(fh):
+        np.save(fh, op.pinv)
+        np.save(fh, op.singular_values)
+
+    _replace_atomically(os.path.join(cache_dir, key + ".pinv"), "wb", write)
+    return key
+
+
+def load_inverse(cache_dir, mat: InfluenceMatrix) -> InverseOperator | None:
+    """Cached inverse operator of ``mat``, or None.
+
+    The rank is recomputed from the stored singular values by the cutoff
+    ``precompute_inverse`` applies.  A present-but-unreadable or mis-shaped
+    entry is a miss with a warning, so callers fall back to factorizing.
+    """
+    key = inverse_key(mat)
+    path = os.path.join(cache_dir, key + ".pinv")
+    if not os.path.exists(path):
+        return None
+    try:
+        pinv, s = _read_arrays(path, 2)
+    except _UNREADABLE as exc:
+        logger.warning("unreadable inverse cache entry %s (%s); re-factorizing", key, exc)
+        return None
+    n_disp, n_tract = mat.entries.shape
+    if pinv.shape != (n_tract, n_disp) or s.shape != (min(n_disp, n_tract),):
+        logger.warning("inverse cache entry %s does not match its matrix; re-factorizing", key)
+        return None
+    return InverseOperator(pinv, int(np.count_nonzero(_kept(s))), s)

@@ -34,6 +34,10 @@ def _load_params(path) -> ElastomerParams:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InvalidArgumentError("cannot read params file %s: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(
+            "params file %s must hold a JSON object, got %s" % (path, type(data).__name__)
+        )
     unknown = set(data) - {f.name for f in dataclasses.fields(ElastomerParams)}
     if unknown:
         raise InvalidArgumentError(
@@ -52,7 +56,9 @@ def _add_common(ap, grids, out_help):
 def _model_args(ap):
     ap.add_argument("--model", choices=assembly.MODELS, default="love")
     ap.add_argument("--psi", choices=("const", "exact"), default="const")
-    ap.add_argument("--cache-dir", help="directory for assembled-matrix reuse")
+    ap.add_argument(
+        "--cache-dir", help="directory for reuse of assembled matrices and their inverses"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,14 +192,20 @@ def _cmd_reconstruct(args):
         with open(args.report, "w") as fh:
             json.dump(report.as_dict(), fh, indent=1)
     rank = "" if report.rank is None else ", rank %d" % report.rank
+    sources = ", ".join(
+        "%s %s" % (what, "from cache" if source == "cache" else source)
+        for what, source in (("matrix", report.matrix_source), ("inverse", report.inverse_source))
+        if source is not None
+    )
     print(
-        "%s/%s solve: residual %.3e%s, online %.2f ms"
+        "%s/%s solve: residual %.3e%s, online %.2f ms (%s)"
         % (
             report.model,
             report.constraint_mode,
             report.residual_norm,
             rank,
             report.timings_ms["online_ms"],
+            sources,
         )
     )
 
@@ -234,6 +246,9 @@ def _cmd_compare(args):
 
 
 def _cmd_fme_demo(args):
+    for option, value in (("--vars", args.vars), ("--rows", args.rows)):
+        if value < 1:
+            raise InvalidArgumentError("%s must be at least 1, got %d" % (option, value))
     rng = np.random.default_rng(args.seed)
     A = rng.integers(-3, 4, size=(args.rows, args.vars))
     b = rng.integers(-5, 3, size=args.rows)

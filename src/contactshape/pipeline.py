@@ -86,7 +86,14 @@ def synth_contact(spec: IndenterSpec, tract_grid: Grid) -> FieldVector:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything one reconstruction produced, including its costs."""
+    """Everything one reconstruction produced, including its costs.
+
+    ``matrix_source`` is "cache" or "assembled".  ``inverse_source`` is
+    "cache" or "factorized" on ``free`` and None on ``nonneg``, which uses
+    no inverse.  Each time in ``timings_ms`` is named for what it
+    measured: ``assembly_ms`` or ``matrix_load_ms``, then on ``free``
+    ``inversion_ms`` (the SVD) or ``inverse_load_ms``, and ``online_ms``.
+    """
 
     tractions: FieldVector
     reconstructed_displacements: np.ndarray
@@ -96,6 +103,8 @@ class SolveReport:
     psi_mode: str
     rank: int | None  # truncated SVD rank; None on ``nonneg``
     timings_ms: dict
+    matrix_source: str
+    inverse_source: str | None
     converged: bool = True
 
     def as_dict(self) -> dict:
@@ -106,20 +115,50 @@ class SolveReport:
             "rank": self.rank,
             "residual_norm": self.residual_norm,
             "converged": self.converged,
+            "matrix_source": self.matrix_source,
+            "inverse_source": self.inverse_source,
             "timings_ms": dict(self.timings_ms),
         }
 
 
+def _obtain(cache_dir, load, compute, save):
+    """``load()`` from the cache, else ``compute()`` and ``save`` it there;
+    without a cache, just ``compute()``.
+
+    Returns the object, whether it was loaded, and the seconds the load
+    or the computation took (a save is not counted).
+    """
+    if cache_dir is not None:
+        t0 = time.perf_counter()
+        obj = load()
+        if obj is not None:
+            return obj, True, time.perf_counter() - t0
+    t0 = time.perf_counter()
+    obj = compute()
+    seconds = time.perf_counter() - t0
+    if cache_dir is not None:
+        save(obj)
+    return obj, False, seconds
+
+
 def _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir):
     """The matrix from the cache, else assembled (and cached)."""
-    if cache_dir is not None:
-        mat = assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode)
-        if mat is not None:
-            return mat
-        mat = assembly.assemble(model, tract_grid, disp_grid, params, psi_mode)
-        assembly.save_matrix(mat, cache_dir)
-        return mat
-    return assembly.assemble(model, tract_grid, disp_grid, params, psi_mode)
+    return _obtain(
+        cache_dir,
+        lambda: assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode),
+        lambda: assembly.assemble(model, tract_grid, disp_grid, params, psi_mode),
+        lambda mat: assembly.save_matrix(mat, cache_dir),
+    )
+
+
+def _obtain_inverse(mat, cache_dir):
+    """The matrix's inverse operator from the cache, else factorized (and cached)."""
+    return _obtain(
+        cache_dir,
+        lambda: assembly.load_inverse(cache_dir, mat),
+        lambda: assembly.precompute_inverse(mat),
+        lambda op: assembly.save_inverse(op, mat, cache_dir),
+    )
 
 
 def reconstruct(
@@ -135,7 +174,9 @@ def reconstruct(
     """Recover node tractions from a measured displacement field.
 
     ``free`` inverts through the truncated-SVD pseudo-inverse; ``nonneg``
-    solves the same least-squares problem under Q >= 0.
+    solves the same least-squares problem under Q >= 0.  With a
+    ``cache_dir``, the matrix and (on ``free``) its inverse operator come
+    from there when it holds them, and are saved there when it does not.
     """
     if constraint not in CONSTRAINT_MODES:
         raise InvalidArgumentError(
@@ -144,18 +185,20 @@ def reconstruct(
     dv = displacements.values if isinstance(displacements, FieldVector) else np.asarray(
         displacements, dtype=float
     )
-    mat = _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir)
+    mat, mat_cached, seconds = _obtain_matrix(
+        model, tract_grid, disp_grid, params, psi_mode, cache_dir
+    )
     if dv.shape != (mat.entries.shape[0],):
         raise InvalidArgumentError(
             "displacement vector length %d does not match %d sensing nodes"
             % (len(dv), mat.entries.shape[0])
         )
-    timings = {"assembly_ms": 1e3 * mat.assembly_seconds}
+    timings = {("matrix_load_ms" if mat_cached else "assembly_ms"): 1e3 * seconds}
     converged = True
     if constraint == "free":
-        t0 = time.perf_counter()
-        op = assembly.precompute_inverse(mat)
-        timings["inversion_ms"] = 1e3 * (time.perf_counter() - t0)
+        op, op_cached, seconds = _obtain_inverse(mat, cache_dir)
+        timings["inverse_load_ms" if op_cached else "inversion_ms"] = 1e3 * seconds
+        inverse_source = "cache" if op_cached else "factorized"
         t0 = time.perf_counter()
         q = assembly.apply_inverse(op, dv)
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
@@ -163,10 +206,10 @@ def reconstruct(
     else:
         t0 = time.perf_counter()
         res = solvers.nnls_solve(mat.entries, dv)
-        timings["inversion_ms"] = 0.0
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         q = res.x
         rank = None
+        inverse_source = None
         converged = res.converged
     recon = mat.entries @ q
     residual = float(np.linalg.norm(recon - dv))
@@ -179,6 +222,8 @@ def reconstruct(
         psi_mode,
         rank,
         timings,
+        "cache" if mat_cached else "assembled",
+        inverse_source,
         converged,
     )
 
@@ -196,7 +241,7 @@ def forward_solve(
     The matrix comes from ``cache_dir`` when it holds one for
     exactly these inputs; otherwise it is assembled, and saved there.
     """
-    mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)
+    mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)[0]
     return FieldVector(assembly.apply_forward(mat, tractions), disp_grid)
 
 
@@ -249,14 +294,20 @@ def compare_models(
     in the middle of the range.
     """
     a, b = half_extents
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidArgumentError("cell half-extents must be positive")
+    if not math.isfinite(pressure):
+        raise InvalidArgumentError("pressure must be finite, got %r" % pressure)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise InvalidArgumentError(
+            "cell half-extents must be positive and finite, got %r" % ((a, b),)
+        )
     if n_samples < 3:
         raise InvalidArgumentError("need at least 3 samples")
     if n_samples % 2 == 0:
         n_samples += 1  # keep a sample exactly at x = 0
     if x_max is None:
         x_max = 6.0 * max(a, b)
+    elif not (0.0 < x_max < math.inf):
+        raise InvalidArgumentError("sample half-width must be positive and finite, got %r" % x_max)
     h = params.nominal_thickness
     E = params.young_modulus
     nu = params.poisson_ratio

@@ -117,18 +117,27 @@ def readings_to_displacements(readings, n_taxels: int, params: ElastomerParams) 
     """Displacement vector over taxel indices 0..n_taxels-1.
 
     Taxels without a reading stay at zero; duplicate indices are an error.
+    Each entry is ``reading_to_displacement`` of its reading, bit for bit:
+    the same IEEE operations in the same order, applied to all at once.
     """
-    out = np.zeros(n_taxels)
-    seen = set()
-    for r in readings:
-        if r.taxel_index >= n_taxels:
+    readings = list(readings)  # any iterable; read twice below
+    idx = np.array([r.taxel_index for r in readings], dtype=np.intp)
+    dc = np.array([r.delta_c for r in readings], dtype=float)
+    # the first reading that is out of range or repeats an earlier index
+    first_seen = np.zeros(len(idx), dtype=bool)
+    first_seen[np.unique(idx, return_index=True)[1]] = True
+    wrong = np.flatnonzero((idx >= n_taxels) | ~first_seen)
+    if len(wrong):
+        k = idx[wrong[0]]
+        if k >= n_taxels:
             raise InvalidArgumentError(
-                "reading for taxel %d but grid has %d taxels" % (r.taxel_index, n_taxels)
+                "reading for taxel %d but grid has %d taxels" % (k, n_taxels)
             )
-        if r.taxel_index in seen:
-            raise InvalidArgumentError("duplicate reading for taxel %d" % r.taxel_index)
-        seen.add(r.taxel_index)
-        out[r.taxel_index] = reading_to_displacement(r, params)
+        raise InvalidArgumentError("duplicate reading for taxel %d" % k)
+    h_n = params.nominal_thickness
+    s = params.capacitance_scale
+    out = np.zeros(n_taxels)
+    out[idx] = h_n - s * h_n / (s + dc * h_n)
     return out
 
 

@@ -16,12 +16,15 @@ from contactshape import (
     assemble,
     bc_resolved_zz,
     build_regular_grid,
+    load_inverse,
     load_matrix,
     love_effective_column,
     precompute_inverse,
+    save_inverse,
     save_matrix,
 )
-from contactshape.assembly import counters, matrix_key, reset_counters
+from contactshape import assembly
+from contactshape.assembly import counters, inverse_key, matrix_key, reset_counters
 
 
 @pytest.fixture
@@ -181,17 +184,17 @@ def test_cache_corruption_is_a_miss(small_grids, params, tmp_path, caplog):
         assert any("re-assembling" in r.message for r in caplog.records), (suffix, content)
 
 
+def dying_save(file, arr):
+    # a path is opened the way numpy opens one
+    opened = open(file, "wb") if isinstance(file, (str, os.PathLike)) else nullcontext(file)
+    with opened as fh:
+        fh.write(b"\x93NUMPY")
+    raise OSError("no space left on device")
+
+
 def test_interrupted_save_leaves_no_entry(small_grids, params, tmp_path, monkeypatch):
     tract, disp = small_grids
     mat = assemble("love", tract, disp, params)
-
-    def dying_save(file, arr):
-        # a path is opened the way numpy opens one
-        opened = open(file, "wb") if isinstance(file, (str, os.PathLike)) else nullcontext(file)
-        with opened as fh:
-            fh.write(b"\x93NUMPY")
-        raise OSError("no space left on device")
-
     monkeypatch.setattr(np, "save", dying_save)
     with pytest.raises(OSError):
         save_matrix(mat, tmp_path)
@@ -236,3 +239,90 @@ def test_concurrent_save_and_load(small_grids, params, tmp_path):
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
     assert errors == []
+
+
+def test_inverse_cache_round_trip(small_grids, params, tmp_path):
+    tract, disp = small_grids
+    for model in ("bc", "love"):
+        mat = assemble(model, tract, disp, params)
+        op = precompute_inverse(mat)
+        assert load_inverse(tmp_path, mat) is None
+        key = save_inverse(op, mat, tmp_path)
+        assert key == inverse_key(mat) != matrix_key(model, tract, disp, params, True, "const")
+        assert [p.name for p in tmp_path.glob(key + "*")] == [key + ".pinv"]
+        reset_counters()
+        back = load_inverse(tmp_path, mat)
+        assert counters()["factorizations"] == 0
+        assert back.rank == op.rank == 9
+        assert back.pinv.tobytes() == op.pinv.tobytes()
+        assert back.singular_values.tobytes() == op.singular_values.tobytes()
+    # a different matrix misses
+    other = assemble("bc", tract, disp, params, psi_mode="exact")
+    assert load_inverse(tmp_path, other) is None
+
+
+def test_inverse_key_follows_the_cutoff(small_grids, params, monkeypatch):
+    tract, disp = small_grids
+    mat = assemble("bc", tract, disp, params)
+    base = inverse_key(mat)
+    assert base == inverse_key(assemble("bc", tract, disp, params))
+    assert base != inverse_key(assemble("love", tract, disp, params))
+    monkeypatch.setattr(assembly, "DEFAULT_SVD_RTOL", 1e-6)
+    assert inverse_key(mat) != base
+
+
+def test_inverse_rank_is_recomputed_on_load(small_grids, params, tmp_path, monkeypatch):
+    """A stored inverse carries its singular values; its rank comes from
+    them by the one cutoff rule, not from the file."""
+    tract, disp = small_grids
+    mat = assemble("bc", tract, disp, params)
+    op = precompute_inverse(mat)
+    s = op.singular_values
+    monkeypatch.setattr(assembly, "DEFAULT_SVD_RTOL", 0.5 * (s[3] + s[4]) / s[0])
+    save_inverse(assembly.InverseOperator(op.pinv, 9, s), mat, tmp_path)
+    assert load_inverse(tmp_path, mat).rank == precompute_inverse(mat).rank == 4
+
+
+def test_inverse_cache_corruption_is_a_miss(small_grids, params, tmp_path, caplog):
+    tract, disp = small_grids
+    mat = assemble("love", tract, disp, params)
+    op = precompute_inverse(mat)
+    key = save_inverse(op, mat, tmp_path)
+    whole = (tmp_path / (key + ".pinv")).read_bytes()
+    wrong_shape = assemble("love", tract, build_regular_grid((0.0, 0.0), 2, 2, 2e-3, 2e-3), params)
+    other = save_inverse(precompute_inverse(wrong_shape), wrong_shape, tmp_path / "other")
+    for content in [
+        b"",  # what a reader sees the moment a plain write opens the file
+        b"not numpy data",
+        b"PK\x03\x04 not a zip archive",
+        whole[:200],  # header and part of the pseudo-inverse
+        whole[: 128 + 9 * 9 * 8],  # the pseudo-inverse without the singular values
+        whole[:-8],  # one singular value short
+        (tmp_path / "other" / (other + ".pinv")).read_bytes(),  # a whole entry of another shape
+    ]:
+        (tmp_path / (key + ".pinv")).write_bytes(content)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert load_inverse(tmp_path, mat) is None, content[:20]
+        assert any("re-factorizing" in r.message for r in caplog.records), content[:20]
+
+
+def test_interrupted_save_inverse_leaves_no_entry(small_grids, params, tmp_path, monkeypatch):
+    tract, disp = small_grids
+    mat = assemble("love", tract, disp, params)
+    op = precompute_inverse(mat)
+    monkeypatch.setattr(np, "save", dying_save)
+    with pytest.raises(OSError):
+        save_inverse(op, mat, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    assert load_inverse(tmp_path, mat) is None
+
+
+def test_zip_like_matrix_entry_is_a_miss(small_grids, params, tmp_path, caplog):
+    """np.load opens bytes that begin like a zip archive as one."""
+    tract, disp = small_grids
+    key = save_matrix(assemble("love", tract, disp, params), tmp_path)
+    (tmp_path / (key + ".npy")).write_bytes(b"PK\x03\x04 not a zip archive")
+    with caplog.at_level("WARNING"):
+        assert load_matrix(tmp_path, "love", tract, disp, params) is None
+    assert any("re-assembling" in r.message for r in caplog.records)

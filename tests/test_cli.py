@@ -388,3 +388,59 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert "4-cell" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--pressure", "nan"), ("--x-max", "inf"), ("--half-x", "inf"), ("--half-y", "-inf"),
+     ("--x-max", "0")],
+)
+def test_compare_rejects_non_finite_inputs(flag, value, capsys):
+    argv = {"--pressure": "1e5", "--half-x": "5e-4", "--half-y": "2e-4", "--samples": "3"}
+    argv[flag] = value
+    code, out, err = run(["compare"] + ["%s=%s" % kv for kv in argv.items()], capsys)
+    assert code == 1 and out == ""
+    single_error_line(err)
+
+
+@pytest.mark.parametrize("content", ["5", '"young_modulus"', "[1, 2]", "null"])
+def test_params_file_must_hold_an_object(tmp_path, capsys, content):
+    p = tmp_path / "params.json"
+    p.write_text(content)
+    code, out, err = run(
+        ["compare", "--pressure", "1e5", "--half-x", "5e-4", "--half-y", "2e-4",
+         "--params", str(p)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--vars", "-1"), ("--vars", "0"), ("--rows", "-2"), ("--rows", "0")]
+)
+def test_fme_demo_rejects_bad_sizes(option, value, capsys):
+    code, out, err = run(["fme-demo", option, value], capsys)
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert option in err
+
+
+def test_reconstruct_summary_names_its_sources(grid_file, tmp_path, capsys):
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e-6\n" for _ in range(9)))
+    argv = [
+        "reconstruct", "--model", "bc", "--tract-grid", str(grid_file),
+        "--disp-grid", str(grid_file), "--displacements", str(d_path),
+        "--cache-dir", str(tmp_path / "cache"), "--report", str(tmp_path / "rep.json"),
+    ]
+    for sources in ("matrix assembled, inverse factorized", "matrix from cache, inverse from cache"):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.strip().endswith("(%s)" % sources)
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["matrix_source"] == report["inverse_source"] == "cache"
+    assert set(report["timings_ms"]) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
+    code, out, _ = run(argv + ["--constraint", "nonneg"], capsys)
+    assert out.strip().endswith("(matrix from cache)")

@@ -127,8 +127,10 @@ def test_reconstruct_report_dict(pad, params):
     assert d["model"] == "bc"
     assert set(d) == {
         "model", "constraint_mode", "psi_mode", "rank",
-        "residual_norm", "converged", "timings_ms",
+        "residual_norm", "converged", "matrix_source", "inverse_source", "timings_ms",
     }
+    assert d["matrix_source"] == "assembled" and d["inverse_source"] == "factorized"
+    assert set(d["timings_ms"]) == {"assembly_ms", "inversion_ms", "online_ms"}
 
 
 def test_reconstruct_uses_cache(pad, params, tmp_path):
@@ -140,6 +142,68 @@ def test_reconstruct_uses_cache(pad, params, tmp_path):
     reconstruct(d, "bc", tract, disp, params, cache_dir=tmp_path)
     assert counters()["assemblies"] == 1
     assert len(list(tmp_path.glob("*.npy"))) == 1
+
+
+@pytest.mark.parametrize("model", ["bc", "love"])
+def test_warm_reconstruct_is_uncached_bitwise(pad, params, tmp_path, model):
+    tract, disp = pad
+    q_true = synth_contact(IndenterSpec("hemisphere", 9e-3, (6e-3, 6e-3), 1.8), tract)
+    d = apply_forward(assemble(model, tract, disp, params), q_true)
+    want = reconstruct(d, model, tract, disp, params)
+    reset_counters()
+    cold = reconstruct(d, model, tract, disp, params, cache_dir=tmp_path)
+    assert counters() == {"assemblies": 1, "factorizations": 1}
+    assert (cold.matrix_source, cold.inverse_source) == ("assembled", "factorized")
+    assert set(cold.timings_ms) == {"assembly_ms", "inversion_ms", "online_ms"}
+    assert len(list(tmp_path.glob("*.pinv"))) == 1
+    reset_counters()
+    warm = reconstruct(d, model, tract, disp, params, cache_dir=tmp_path)
+    assert counters() == {"assemblies": 0, "factorizations": 0}
+    assert (warm.matrix_source, warm.inverse_source) == ("cache", "cache")
+    assert set(warm.timings_ms) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
+    for got in (cold, warm):
+        assert got.tractions.values.tobytes() == want.tractions.values.tobytes()
+        assert got.reconstructed_displacements.tobytes() == want.reconstructed_displacements.tobytes()
+        assert got.residual_norm == want.residual_norm
+        assert got.rank == want.rank == 36
+
+
+def test_damaged_inverse_entry_is_refactorized(pad, params, tmp_path, caplog):
+    tract, disp = pad
+    d = np.full(36, 1e-6)
+    want = reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path)
+    (entry,) = tmp_path.glob("*.pinv")
+    for content in (b"", entry.read_bytes()[:1000], b"garbage"):
+        entry.write_bytes(content)
+        reset_counters()
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            got = reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path)
+        assert any("re-factorizing" in r.message for r in caplog.records)
+        assert counters()["factorizations"] == 1 and got.inverse_source == "factorized"
+        assert got.tractions.values.tobytes() == want.tractions.values.tobytes()
+        # the re-factorized operator replaced the damaged entry
+        reset_counters()
+        assert reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path).inverse_source == "cache"
+        assert counters()["factorizations"] == 0
+
+
+def test_nonneg_neither_reads_nor_writes_an_inverse(pad, params, tmp_path):
+    tract, disp = pad
+    d = np.full(36, 1e-6)
+    reset_counters()
+    report = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
+    assert report.inverse_source is None and report.matrix_source == "assembled"
+    assert set(report.timings_ms) == {"assembly_ms", "online_ms"}
+    assert counters()["factorizations"] == 0
+    assert list(tmp_path.glob("*.pinv")) == []
+    # a stored inverse is left unread
+    reconstruct(d, "bc", tract, disp, params, cache_dir=tmp_path)
+    (entry,) = tmp_path.glob("*.pinv")
+    entry.write_bytes(b"garbage")
+    again = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
+    assert again.matrix_source == "cache" and again.inverse_source is None
+    assert entry.read_bytes() == b"garbage"
 
 
 def test_resample_is_forward_solve(pad, params):
@@ -190,6 +254,17 @@ def test_compare_models_guards(params):
         compare_models(1e5, (0.0, 2e-4), params)
     with pytest.raises(InvalidArgumentError):
         compare_models(1e5, (5e-4, 2e-4), params, n_samples=2)
+    for pressure, extents, x_max in [
+        (np.nan, (5e-4, 2e-4), None),
+        (-np.inf, (5e-4, 2e-4), None),
+        (1e5, (np.inf, 2e-4), None),
+        (1e5, (5e-4, np.nan), None),
+        (1e5, (5e-4, 2e-4), np.inf),
+        (1e5, (5e-4, 2e-4), np.nan),
+        (1e5, (5e-4, 2e-4), 0.0),
+    ]:
+        with pytest.raises(InvalidArgumentError):
+            compare_models(pressure, extents, params, n_samples=3, x_max=x_max)
 
 
 def test_peak_location_plateau_reports_innermost():

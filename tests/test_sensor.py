@@ -130,3 +130,31 @@ def test_readings_to_displacements(params):
         readings_to_displacements([TaxelReading(5, 0.0)], 4, params)
     with pytest.raises(InvalidArgumentError):
         readings_to_displacements([TaxelReading(1, 0.0), TaxelReading(1, 0.0)], 4, params)
+
+
+def test_readings_to_displacements_is_per_reading_bitwise():
+    """The vectorized conversion runs the same IEEE operations in the same
+    order as ``reading_to_displacement``, so it rounds the same."""
+    rng = np.random.default_rng(5)
+    for params in (ElastomerParams(), ElastomerParams(nominal_thickness=3.7e-3, taxel_area=2e-5)):
+        n = 300
+        taxels = rng.permutation(n)[:250]
+        dcs = np.concatenate([[0.0, 5e-324, 1e-30, 1e-9], 10.0 ** rng.uniform(-18, -11, 246)])
+        rs = [TaxelReading(int(i), float(v)) for i, v in zip(taxels, dcs)]
+        out = readings_to_displacements(iter(rs), n, params)
+        want = np.zeros(n)
+        for r in rs:
+            want[r.taxel_index] = reading_to_displacement(r, params)
+        assert out.tobytes() == want.tobytes()
+    assert readings_to_displacements([], 3, ElastomerParams()).tobytes() == np.zeros(3).tobytes()
+
+
+def test_readings_to_displacements_reports_the_first_bad_reading(params):
+    rs = [TaxelReading(1, 0.0), TaxelReading(7, 0.0), TaxelReading(1, 0.0), TaxelReading(7, 0.0)]
+    with pytest.raises(InvalidArgumentError, match=r"^reading for taxel 7 but grid has 4 taxels$"):
+        readings_to_displacements(rs, 4, params)
+    with pytest.raises(InvalidArgumentError, match=r"^duplicate reading for taxel 1$"):
+        readings_to_displacements(rs, 8, params)
+    rs = [TaxelReading(2, 0.0), TaxelReading(2, 0.0), TaxelReading(9, 0.0)]
+    with pytest.raises(InvalidArgumentError, match=r"^duplicate reading for taxel 2$"):
+        readings_to_displacements(rs, 4, params)
