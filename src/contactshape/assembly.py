@@ -10,17 +10,22 @@ floats once per traction cell, so the cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
-Assembled matrices can be cached on disk, keyed by an exact hash of
-everything that determines their entries, including the bytes of both
-grids' cell arrays; their inverse operators are cached beside them,
-keyed by that hash plus the SVD cutoff, so a warm cache factorizes
-nothing.
+
+Assembled matrices and their inverse operators can be cached on disk,
+one file of float64 ``np.save`` records per entry, named by an exact
+hash of everything that determines its contents and renamed into place
+once whole.  ``<key>.npy`` is C as plain NumPy, keyed by the model, psi
+mode, material constants and the bytes of both grids' cell arrays.
+``<key>.pinv`` is the pseudo-inverse, then the singular values, keyed by
+C's key plus the SVD cutoff, so a warm cache factorizes nothing.  An
+entry of the wrong shape or dtype is a miss.  A cache written when each
+``.npy`` had a JSON header beside it still hits; versions that wrote the
+header re-assemble entries written without one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import threading
@@ -222,13 +227,13 @@ def inverse_key(mat: InfluenceMatrix) -> str:
     return h.hexdigest()
 
 
-def _replace_atomically(path: str, mode: str, write) -> None:
-    """Run ``write(fh)`` on a temporary file beside ``path``, then rename it
-    into place: a concurrent reader sees no file or a whole one, never a
-    partial write, and a failed write leaves nothing behind."""
+def _replace_atomically(path: str, write) -> None:
+    """Run ``write(fh)`` on a temporary binary file beside ``path``, then
+    rename it into place: a concurrent reader sees no file or a whole one,
+    never a partial write, and a failed write leaves nothing behind."""
     tmp = "%s.%d-%d.tmp" % (path, os.getpid(), threading.get_ident())
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -242,39 +247,43 @@ def _replace_atomically(path: str, mode: str, write) -> None:
 _UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
 
-def _read_arrays(path, count: int) -> list:
-    """The ``count`` float64 arrays that np.save wrote one after another
-    into ``path``; ValueError if the file holds anything else."""
-    with open(path, "rb") as fh:
-        arrays = [np.load(fh) for _ in range(count)]
-    for a in arrays:
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64):
-            raise ValueError("not a float64 array")
+def _write_entry(cache_dir, key: str, suffix: str, arrays) -> str:
+    """Store ``arrays`` one after another with np.save in ``<key><suffix>``."""
+    os.makedirs(cache_dir, exist_ok=True)
+
+    def write(fh):
+        for a in arrays:
+            np.save(fh, a)
+
+    _replace_atomically(os.path.join(cache_dir, key + suffix), write)
+    return key
+
+
+def _read_entry(cache_dir, key: str, suffix: str, shapes, fallback: str) -> list | None:
+    """The float64 arrays of ``shapes`` stored in ``<key><suffix>``, or None.
+
+    An absent entry is a plain miss.  An unreadable one, or one whose
+    arrays differ from ``shapes`` in shape or dtype (damaged, or written
+    by something else), is a miss with a warning naming ``fallback``.
+    """
+    try:
+        with open(os.path.join(cache_dir, key + suffix), "rb") as fh:
+            arrays = [np.load(fh) for _ in shapes]
+    except (FileNotFoundError, NotADirectoryError):  # no such entry
+        return None
+    except _UNREADABLE as exc:
+        logger.warning("unreadable cache entry %s%s (%s); %s", key, suffix, exc, fallback)
+        return None
+    for a, shape in zip(arrays, shapes):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape):
+            logger.warning("cache entry %s%s does not match its request; %s", key, suffix, fallback)
+            return None
     return arrays
 
 
 def save_matrix(mat: InfluenceMatrix, cache_dir) -> str:
-    """Store entries plus a header describing exactly what they are.
-
-    Each file is written whole before it appears under its name, the
-    entries before the header, so an entry is complete once its header
-    exists.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    key = _key_of(mat)
-    _replace_atomically(
-        os.path.join(cache_dir, key + ".npy"), "wb", lambda fh: np.save(fh, mat.entries)
-    )
-    header = {
-        "key": key,
-        "model": mat.model,
-        "psi_mode": mat.psi_mode,
-        "shape": list(mat.entries.shape),
-    }
-    _replace_atomically(
-        os.path.join(cache_dir, key + ".json"), "w", lambda fh: json.dump(header, fh, indent=1)
-    )
-    return key
+    """Store the entries as ``<key>.npy``, a plain NumPy file of C."""
+    return _write_entry(cache_dir, _key_of(mat), ".npy", [mat.entries])
 
 
 def load_matrix(
@@ -287,67 +296,34 @@ def load_matrix(
 ) -> InfluenceMatrix | None:
     """Cached matrix for exactly these inputs, or None.
 
-    A present-but-unreadable or inconsistent cache entry is treated as a
+    A present-but-unreadable or mismatched cache entry is treated as a
     miss with a warning, so callers fall back to re-assembly.
     """
     key = matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
-    npy = os.path.join(cache_dir, key + ".npy")
-    hdr = os.path.join(cache_dir, key + ".json")
-    if not (os.path.exists(npy) and os.path.exists(hdr)):
+    shape = (len(disp_grid), len(tract_grid))
+    found = _read_entry(cache_dir, key, ".npy", [shape], "re-assembling")
+    if found is None:
         return None
-    try:
-        with open(hdr) as fh:
-            header = json.load(fh)
-        (entries,) = _read_arrays(npy, 1)
-    except _UNREADABLE as exc:
-        logger.warning("unreadable cache entry %s (%s); re-assembling", key, exc)
-        return None
-    if (
-        not isinstance(header, dict)
-        or header.get("model") != model
-        or header.get("psi_mode") != psi_mode
-        or entries.shape != (len(disp_grid), len(tract_grid))
-    ):
-        logger.warning("cache entry %s does not match its request; re-assembling", key)
-        return None
-    return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, 0.0)
+    return InfluenceMatrix(found[0], model, psi_mode, tract_grid, disp_grid, params, 0.0)
 
 
 def save_inverse(op: InverseOperator, mat: InfluenceMatrix, cache_dir) -> str:
-    """Store the inverse operator of ``mat`` under ``inverse_key(mat)``.
-
-    The file ``<key>.pinv`` holds the pseudo-inverse and then the
-    singular values, written whole before it appears under its name.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    key = inverse_key(mat)
-
-    def write(fh):
-        np.save(fh, op.pinv)
-        np.save(fh, op.singular_values)
-
-    _replace_atomically(os.path.join(cache_dir, key + ".pinv"), "wb", write)
-    return key
+    """Store the inverse operator of ``mat`` as ``<inverse_key(mat)>.pinv``:
+    the pseudo-inverse, then the singular values."""
+    return _write_entry(cache_dir, inverse_key(mat), ".pinv", [op.pinv, op.singular_values])
 
 
 def load_inverse(cache_dir, mat: InfluenceMatrix) -> InverseOperator | None:
     """Cached inverse operator of ``mat``, or None.
 
     The rank is recomputed from the stored singular values by the cutoff
-    ``precompute_inverse`` applies.  A present-but-unreadable or mis-shaped
+    ``precompute_inverse`` applies.  A present-but-unreadable or mismatched
     entry is a miss with a warning, so callers fall back to factorizing.
     """
-    key = inverse_key(mat)
-    path = os.path.join(cache_dir, key + ".pinv")
-    if not os.path.exists(path):
-        return None
-    try:
-        pinv, s = _read_arrays(path, 2)
-    except _UNREADABLE as exc:
-        logger.warning("unreadable inverse cache entry %s (%s); re-factorizing", key, exc)
-        return None
     n_disp, n_tract = mat.entries.shape
-    if pinv.shape != (n_tract, n_disp) or s.shape != (min(n_disp, n_tract),):
-        logger.warning("inverse cache entry %s does not match its matrix; re-factorizing", key)
+    shapes = [(n_tract, n_disp), (min(n_disp, n_tract),)]
+    found = _read_entry(cache_dir, inverse_key(mat), ".pinv", shapes, "re-factorizing")
+    if found is None:
         return None
+    pinv, s = found
     return InverseOperator(pinv, int(np.count_nonzero(_kept(s))), s)

@@ -5,7 +5,8 @@ matrices, reconstruct tractions from displacement or readings files,
 re-sample a reconstruction onto a different layout, compare the two
 elastic models, demonstrate inequality projection, and benchmark
 assembly cost.  Errors exit nonzero after printing a single line
-``error: <category>: <message>`` on stderr.
+``error: <category>: <message>`` on stderr; the category of a file that
+cannot be read, written or created is ``io``.
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args)
     except ContactShapeError as exc:
         print("error: %s: %s" % (exc.category, exc), file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file that cannot be read, written or created
+        print("error: io: %s" % exc, file=sys.stderr)
         return 1
     return 0
 

@@ -101,11 +101,16 @@ def delta_c_from_thickness(h_c: float, params: ElastomerParams) -> float:
     return params.capacitance_scale * (h_n - h_c) / (h_c * h_n)
 
 
-def thickness_from_reading(reading: TaxelReading, params: ElastomerParams) -> float:
-    """Invert the taxel model for the compressed cover thickness h_c."""
+def _compressed_thickness(delta_c, params: ElastomerParams):
+    """h_c for a capacitance change ``delta_c``, a float or an array."""
     h_n = params.nominal_thickness
     s = params.capacitance_scale
-    return s * h_n / (s + reading.delta_c * h_n)
+    return s * h_n / (s + delta_c * h_n)
+
+
+def thickness_from_reading(reading: TaxelReading, params: ElastomerParams) -> float:
+    """Invert the taxel model for the compressed cover thickness h_c."""
+    return _compressed_thickness(reading.delta_c, params)
 
 
 def reading_to_displacement(reading: TaxelReading, params: ElastomerParams) -> float:
@@ -121,23 +126,25 @@ def readings_to_displacements(readings, n_taxels: int, params: ElastomerParams) 
     the same IEEE operations in the same order, applied to all at once.
     """
     readings = list(readings)  # any iterable; read twice below
-    idx = np.array([r.taxel_index for r in readings], dtype=np.intp)
+    keys = [r.taxel_index for r in readings]
+    try:
+        idx = np.array(keys, dtype=np.intp)
+    except OverflowError:  # an index past intp is out of range; n_taxels stands in for it
+        idx = np.array([min(k, n_taxels) for k in keys], dtype=np.intp)
     dc = np.array([r.delta_c for r in readings], dtype=float)
     # the first reading that is out of range or repeats an earlier index
     first_seen = np.zeros(len(idx), dtype=bool)
     first_seen[np.unique(idx, return_index=True)[1]] = True
     wrong = np.flatnonzero((idx >= n_taxels) | ~first_seen)
     if len(wrong):
-        k = idx[wrong[0]]
+        k = keys[wrong[0]]
         if k >= n_taxels:
             raise InvalidArgumentError(
                 "reading for taxel %d but grid has %d taxels" % (k, n_taxels)
             )
         raise InvalidArgumentError("duplicate reading for taxel %d" % k)
-    h_n = params.nominal_thickness
-    s = params.capacitance_scale
     out = np.zeros(n_taxels)
-    out[idx] = h_n - s * h_n / (s + dc * h_n)
+    out[idx] = params.nominal_thickness - _compressed_thickness(dc, params)
     return out
 
 

@@ -1,3 +1,5 @@
+import io
+import json
 import os
 import sys
 import threading
@@ -161,27 +163,50 @@ def test_cache_round_trip(small_grids, params, tmp_path):
     back = load_matrix(tmp_path, "love", tract, disp, params)
     assert back is not None
     np.testing.assert_array_equal(back.entries, mat.entries)
-    assert (tmp_path / (key + ".npy")).exists()
+    # the entry is one plain NumPy file of C
+    assert [p.name for p in tmp_path.iterdir()] == [key + ".npy"]
+    assert np.load(tmp_path / (key + ".npy")).tobytes() == mat.entries.tobytes()
     # a different request misses
     assert load_matrix(tmp_path, "bc", tract, disp, params) is None
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
 
 
 def test_cache_corruption_is_a_miss(small_grids, params, tmp_path, caplog):
     tract, disp = small_grids
     mat = assemble("love", tract, disp, params)
-    for suffix, content in [
-        (".npy", b"not numpy data"),
-        (".npy", b""),  # what a reader sees the moment a plain write opens the file
-        (".npy", b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (9, 9), }"),
-        (".json", b"[1]"),
-        (".json", b"{"),
+    for content in [
+        b"not numpy data",
+        b"",  # what a reader sees the moment a plain write opens the file
+        b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (9, 9), }",
+        npy_bytes(np.ones((9, 4))),  # a whole entry of another shape
+        npy_bytes(np.ones((9, 9), dtype=np.int64)),
+        npy_bytes(mat.entries.astype(np.float32)),
     ]:
         key = save_matrix(mat, tmp_path)
-        (tmp_path / (key + suffix)).write_bytes(content)
+        (tmp_path / (key + ".npy")).write_bytes(content)
         caplog.clear()
         with caplog.at_level("WARNING"):
-            assert load_matrix(tmp_path, "love", tract, disp, params) is None, (suffix, content)
-        assert any("re-assembling" in r.message for r in caplog.records), (suffix, content)
+            assert load_matrix(tmp_path, "love", tract, disp, params) is None, content[:20]
+        assert any("re-assembling" in r.message for r in caplog.records), content[:20]
+
+
+def test_cache_with_json_headers_still_hits(small_grids, params, tmp_path):
+    """A cache whose .npy entries each have a JSON header beside them, as
+    it was once written, hits bitwise; the header is not read."""
+    tract, disp = small_grids
+    for model in ("bc", "love"):
+        mat = assemble(model, tract, disp, params)
+        key = matrix_key(model, tract, disp, params, True, "const")
+        (tmp_path / (key + ".npy")).write_bytes(npy_bytes(mat.entries))
+        header = {"key": key, "model": model, "psi_mode": "const", "shape": [9, 9]}
+        (tmp_path / (key + ".json")).write_text(json.dumps(header, indent=1))
+        back = load_matrix(tmp_path, model, tract, disp, params)
+        assert back.entries.tobytes() == mat.entries.tobytes()
 
 
 def dying_save(file, arr):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import contactshape
 from contactshape import (
     ElastomerParams,
     TaxelReading,
@@ -385,6 +387,8 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "contactshape.cli", "make-grid",
          "--nx", "2", "--ny", "2", "--pitch", "1e-3", "--out", str(tmp_path / "g.csv")],
         capture_output=True, text=True,
+        # the package this run imports, however the tests were started
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactshape.__file__))),
     )
     assert out.returncode == 0
     assert "4-cell" in out.stdout
@@ -444,3 +448,41 @@ def test_reconstruct_summary_names_its_sources(grid_file, tmp_path, capsys):
     assert set(report["timings_ms"]) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
     code, out, _ = run(argv + ["--constraint", "nonneg"], capsys)
     assert out.strip().endswith("(matrix from cache)")
+
+
+def test_reconstruct_rejects_a_taxel_index_past_intp(grid_file, tmp_path, capsys):
+    r_path = tmp_path / "r.csv"
+    r_path.write_text("taxel_index,delta_c_F,timestamp_s\n100000000000000000000,1e-14,\n")
+    code, out, err = run(
+        [
+            "reconstruct", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--readings", str(r_path),
+        ],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert "taxel 100000000000000000000 but grid has 9 taxels" in err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("assemble", ["--tract-grid", "absent.csv"]),
+        ("reconstruct", ["--out", "nodir/q.dat"]),
+        ("assemble", ["--out", "nodir/m.npy"]),
+        ("assemble", ["--cache-dir", "not-a-dir"]),
+        ("reconstruct", ["--cache-dir", "not-a-dir"]),
+    ],
+)
+def test_file_errors_are_one_io_line(grid_file, tmp_path, capsys, monkeypatch, command, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-a-dir").write_text("")
+    (tmp_path / "d.dat").write_text("".join("0 0 1e-6\n" for _ in range(9)))
+    argv = [command, "--model", "bc", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file)]
+    if command == "reconstruct":
+        argv += ["--displacements", "d.dat"]
+    code, out, err = run(argv + extra, capsys)  # a repeated option takes its last value
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: io:"), err

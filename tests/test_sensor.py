@@ -158,3 +158,12 @@ def test_readings_to_displacements_reports_the_first_bad_reading(params):
     rs = [TaxelReading(2, 0.0), TaxelReading(2, 0.0), TaxelReading(9, 0.0)]
     with pytest.raises(InvalidArgumentError, match=r"^duplicate reading for taxel 2$"):
         readings_to_displacements(rs, 4, params)
+
+
+def test_readings_to_displacements_rejects_an_index_past_intp(params):
+    huge = 10**20  # does not fit a C long
+    with pytest.raises(InvalidArgumentError, match=r"^reading for taxel %d but grid has 4 taxels$" % huge):
+        readings_to_displacements([TaxelReading(1, 0.0), TaxelReading(huge, 0.0)], 4, params)
+    rs = [TaxelReading(1, 0.0), TaxelReading(1, 0.0), TaxelReading(huge, 0.0)]
+    with pytest.raises(InvalidArgumentError, match=r"^duplicate reading for taxel 1$"):
+        readings_to_displacements(rs, 4, params)
