@@ -1,12 +1,15 @@
 """Influence matrix assembly, pseudo-inversion, and disk caching.
 
-The influence matrix C maps normal node tractions Q to effective normal
-displacements D = C Q: one row per sensing node and one column per
-traction node, since a capacitive taxel senses only the normal
-compression of the cover.  Assembly runs one loop over the rows
-(x, y, a, b) of the sensing grid's (n, 4) cell array: each fills its
-matrix row from the chosen model's per-pair kernel, called with Python
-floats once per traction cell, so the cost scales with the pair count.
+The influence matrix C maps normal cell pressures Q (Pa) to effective
+normal displacements D = C Q: one row per sensing node and one column
+per traction cell, since a capacitive taxel senses only the normal
+compression of the cover.  Both models give each column per unit
+pressure; ``bc`` lumps a cell's pressure p into the point force p A at
+its center, so its per-unit-force kernel is scaled by the area A = 4ab.
+Assembly runs one loop over the rows (x, y, a, b) of the sensing grid's
+(n, 4) cell array: each fills its matrix row from the chosen model's
+per-pair kernel, called with Python floats once per traction cell, so
+the cost scales with the pair count.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
@@ -20,7 +23,9 @@ mode, material constants and the bytes of both grids' cell arrays.
 C's key plus the SVD cutoff, so a warm cache factorizes nothing.  An
 entry of the wrong shape or dtype is a miss.  A cache written when each
 ``.npy`` had a JSON header beside it still hits; versions that wrote the
-header re-assemble entries written without one.
+header re-assemble entries written without one.  ``bc`` entries written
+when its columns were per unit force have other keys, so they are
+re-assembled, never read as pressures.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("bc", "love")
 
+# How the bc model resolves a node on the loaded axis; love takes "const" only.
+PSI_MODES = boussinesq.PSI_MODES
+
 DEFAULT_SVD_RTOL = 1e-10
 
 # Module-level instrumentation: how many assemblies and factorizations
@@ -62,8 +70,8 @@ def reset_counters() -> None:
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    """Normal tractions to normal displacements: one row per sensing node,
-    one column per traction node."""
+    """Normal cell pressures to normal displacements: one row per sensing
+    node, one column per traction cell."""
 
     # the only shape there is; kept readable for callers that key on it
     normal_only: ClassVar[bool] = True
@@ -89,12 +97,12 @@ class InverseOperator:
 def _validate(model: str, psi_mode: str, params) -> None:
     if model not in MODELS:
         raise UnsupportedModelError("model must be one of %s, got %r" % (MODELS, model))
-    if psi_mode not in boussinesq.PSI_MODES:
-        raise InvalidArgumentError(
-            "psi mode must be one of %s, got %r" % (boussinesq.PSI_MODES, psi_mode)
-        )
+    if psi_mode not in PSI_MODES:
+        raise InvalidArgumentError("psi mode must be one of %s, got %r" % (PSI_MODES, psi_mode))
     if model == "bc":
         boussinesq.require_incompressible(params.poisson_ratio)
+    elif psi_mode != "const":
+        raise InvalidArgumentError("psi mode applies to the bc model only, got %r" % psi_mode)
 
 
 def assemble(
@@ -105,6 +113,9 @@ def assemble(
     psi_mode: str = "const",
 ) -> InfluenceMatrix:
     """Assemble the influence matrix node pair by node pair.
+
+    Entry (k, l) is the effective normal displacement at sensing node k
+    per unit pressure on traction cell l, for either model.
 
     The cover thickness entering the effective displacement is the
     nominal thickness h_n; per-reading compressed thicknesses only enter
@@ -125,6 +136,8 @@ def assemble(
     t0 = time.perf_counter()
     for k, (xk, yk, _, _) in enumerate(disp):
         entries[k] = [kernel(xk - x, yk - y, a, b) for x, y, a, b in tract]
+    if model == "bc":
+        entries *= tract_grid.areas()  # per unit force to per unit pressure
     dt = time.perf_counter() - t0
     _counters["assemblies"] += 1
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)
@@ -194,12 +207,15 @@ def matrix_key(
 
     Every matrix is normal-only (``InfluenceMatrix.normal_only``); the
     flag still enters the hash so that keys, and the cache entries saved
-    under them, stay what they have always been.
+    under them, stay what they have always been.  ``bc`` also hashes a
+    tag, so entries saved when its columns were per unit force miss.
     """
     h = hashlib.sha256()
     h.update(model.encode())
     h.update(b"\x01" if normal_only else b"\x00")
     h.update(psi_mode.encode())
+    if model == "bc":
+        h.update(b"per unit pressure")
     _grid_digest(h, tract_grid)
     _grid_digest(h, disp_grid)
     pbytes = np.array(
@@ -296,9 +312,11 @@ def load_matrix(
 ) -> InfluenceMatrix | None:
     """Cached matrix for exactly these inputs, or None.
 
-    A present-but-unreadable or mismatched cache entry is treated as a
+    Inputs ``assemble`` rejects are rejected here the same way.  A
+    present-but-unreadable or mismatched cache entry is treated as a
     miss with a warning, so callers fall back to re-assembly.
     """
+    _validate(model, psi_mode, params)
     key = matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
     shape = (len(disp_grid), len(tract_grid))
     found = _read_entry(cache_dir, key, ".npy", [shape], "re-assembling")

@@ -88,11 +88,19 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
 
 
 def _exact_zz(s: float, h_c: float, young_modulus: float) -> float:
-    """Exact normal-normal effective coefficient at squared in-plane distance s > 0."""
-    h2 = h_c * h_c
-    t = s + h2
+    """Exact normal-normal effective coefficient at squared in-plane distance s > 0.
+
+    k (1/sqrt(s) - (s + 2h^2) / (s + h^2)^(3/2)) = k (1 - (1 + 2u)(1 + u)^(-3/2)) / sqrt(s)
+    with u = h^2 / s.  The two terms nearly cancel far from the load; taking
+    the bracket as -expm1(log1p(2u) - 1.5 log1p(u)) keeps its digits there.
+    """
     k = 3.0 / (4.0 * math.pi * young_modulus)
-    return k * (1.0 / math.sqrt(s) - (s + 2.0 * h2) / (t * math.sqrt(t)))
+    u = h_c * h_c / s
+    if u > 1e300:
+        # s below about 1e-300 h^2, where 2u can overflow; the depth term
+        # is then far below one ulp of the surface term
+        return k * (1.0 / math.sqrt(s))
+    return k * -math.expm1(math.log1p(2.0 * u) - 1.5 * math.log1p(u)) / math.sqrt(s)
 
 
 def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> np.ndarray:

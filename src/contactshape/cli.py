@@ -56,7 +56,7 @@ def _add_common(ap, grids, out_help):
 
 def _model_args(ap):
     ap.add_argument("--model", choices=assembly.MODELS, default="love")
-    ap.add_argument("--psi", choices=("const", "exact"), default="const")
+    ap.add_argument("--psi", choices=assembly.PSI_MODES, default="const", help="bc model only")
     ap.add_argument(
         "--cache-dir", help="directory for reuse of assembled matrices and their inverses"
     )

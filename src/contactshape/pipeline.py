@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, boussinesq, love, solvers
+from . import assembly, solvers
 from .errors import InvalidArgumentError
 from .grid import FieldVector, Grid, build_regular_grid
 from .sensor import ElastomerParams
@@ -88,11 +88,13 @@ def synth_contact(spec: IndenterSpec, tract_grid: Grid) -> FieldVector:
 class SolveReport:
     """Everything one reconstruction produced, including its costs.
 
-    ``matrix_source`` is "cache" or "assembled".  ``inverse_source`` is
-    "cache" or "factorized" on ``free`` and None on ``nonneg``, which uses
-    no inverse.  Each time in ``timings_ms`` is named for what it
-    measured: ``assembly_ms`` or ``matrix_load_ms``, then on ``free``
-    ``inversion_ms`` (the SVD) or ``inverse_load_ms``, and ``online_ms``.
+    ``tractions`` holds one pressure per traction cell, in Pa, whichever
+    model ran.  ``matrix_source`` is "cache" or "assembled".
+    ``inverse_source`` is "cache" or "factorized" on ``free`` and None on
+    ``nonneg``, which uses no inverse.  Each time in ``timings_ms`` is
+    named for what it measured: ``assembly_ms`` or ``matrix_load_ms``,
+    then on ``free`` ``inversion_ms`` (the SVD) or ``inverse_load_ms``,
+    and ``online_ms``.
     """
 
     tractions: FieldVector
@@ -171,7 +173,7 @@ def reconstruct(
     psi_mode: str = "const",
     cache_dir=None,
 ) -> SolveReport:
-    """Recover node tractions from a measured displacement field.
+    """Recover cell pressures (Pa) from a measured displacement field.
 
     ``free`` inverts through the truncated-SVD pseudo-inverse; ``nonneg``
     solves the same least-squares problem under Q >= 0.  With a
@@ -236,7 +238,8 @@ def forward_solve(
     psi_mode: str = "const",
     cache_dir=None,
 ) -> FieldVector:
-    """Effective displacements the tractions produce on ``disp_grid``.
+    """Effective displacements the cell pressures ``tractions`` (Pa)
+    produce on ``disp_grid``.
 
     The matrix comes from ``cache_dir`` when it holds one for
     exactly these inputs; otherwise it is assembled, and saved there.
@@ -288,10 +291,11 @@ def compare_models(
 ) -> ModelComparison:
     """Both models' effective normal deflection on a line through the cell.
 
-    One rectangular cell at the origin carries the uniform pressure; the
-    point-load model concentrates the equivalent force at the center and
-    is profiled once per psi mode.  Samples run along y = 0 with x = 0
-    in the middle of the range.
+    One rectangular cell at the origin carries the uniform pressure; each
+    profile is that pressure times the influence-matrix column of the
+    cell on the sample line, once for ``love`` and once per psi mode for
+    ``bc``.  Samples run along y = 0 with x = 0 in the middle of the
+    range.
     """
     a, b = half_extents
     if not math.isfinite(pressure):
@@ -308,22 +312,16 @@ def compare_models(
         x_max = 6.0 * max(a, b)
     elif not (0.0 < x_max < math.inf):
         raise InvalidArgumentError("sample half-width must be positive and finite, got %r" % x_max)
-    h = params.nominal_thickness
-    E = params.young_modulus
-    nu = params.poisson_ratio
-    area = 4.0 * a * b
-    force = pressure * area
     xs = np.linspace(-x_max, x_max, n_samples)
-    love_uz = np.array([love.love_effective_zz(x, 0.0, a, b, h, E, nu) * pressure for x in xs])
-    bc_uz = {}
-    for mode in boussinesq.PSI_MODES:
-        bc_uz[mode] = np.array(
-            [
-                boussinesq.bc_resolved_zz(x, 0.0, area, h, E, mode) * force
-                for x in xs
-            ]
-        )
-    return ModelComparison(xs, love_uz, bc_uz, pressure, (a, b))
+    cell = Grid(np.array([[0.0, 0.0, a, b]]))
+    zeros = np.zeros_like(xs)
+    line = Grid(np.column_stack((xs, zeros, zeros + a, zeros + b)), "displacement")
+
+    def profile(model, psi_mode="const"):
+        return assembly.assemble(model, cell, line, params, psi_mode).entries[:, 0] * pressure
+
+    bc_uz = {mode: profile("bc", mode) for mode in assembly.PSI_MODES}
+    return ModelComparison(xs, profile("love"), bc_uz, pressure, (a, b))
 
 
 @dataclass(frozen=True)

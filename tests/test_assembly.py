@@ -37,6 +37,8 @@ def small_grids():
 
 
 def test_bc_normal_entries_match_kernel(small_grids, params):
+    """bc columns are per unit pressure: the per-unit-force kernel times
+    the traction cell's area."""
     tract, disp = small_grids
     mat = assemble("bc", tract, disp, params)
     assert mat.entries.shape == (9, 9)
@@ -44,8 +46,9 @@ def test_bc_normal_entries_match_kernel(small_grids, params):
     for k in (0, 4, 7):
         for l in (1, 4, 8):
             ck, cl = disp.cells[k], tract.cells[l]
-            want = bc_resolved_zz(
-                ck[0] - cl[0], ck[1] - cl[1], 4.0 * cl[2] * cl[3], h, params.young_modulus
+            area = 4.0 * cl[2] * cl[3]
+            want = area * bc_resolved_zz(
+                ck[0] - cl[0], ck[1] - cl[1], area, h, params.young_modulus
             )
             assert mat.entries[k, l] == want
 
@@ -90,6 +93,16 @@ def test_validation_errors(small_grids, params):
     with pytest.raises(UnsupportedModelError):
         assemble("bc", tract, disp, compressible)
     assemble("love", tract, disp, compressible)
+
+
+def test_psi_mode_applies_to_bc_only(small_grids, params, tmp_path):
+    """love has no spread-load resolution for psi to choose: "exact" would
+    only cache a second copy of the "const" matrix under another key."""
+    tract, disp = small_grids
+    with pytest.raises(InvalidArgumentError, match="bc model only"):
+        assemble("love", tract, disp, params, psi_mode="exact")
+    with pytest.raises(InvalidArgumentError, match="bc model only"):
+        load_matrix(tmp_path, "love", tract, disp, params, psi_mode="exact")
 
 
 def test_inverse_round_trip(small_grids, params):
@@ -148,11 +161,21 @@ def test_matrix_keys_are_pinned(small_grids, params):
     entry saved before it."""
     tract, disp = small_grids
     assert matrix_key("bc", tract, disp, params, True, "const") == (
-        "d33c05015b40221e85d5cc747db49685c6b1263d228ab6c17e353f5fe62ae7a8"
+        "58221d6e70b21bc8b93905f3e158b12632de60421323cb2a1386f6c690433f86"
     )
     assert matrix_key("love", tract, disp, params, True, "const") == (
         "318fced53ee9151e3e495538337c73000aa9e1852892d5a656efa83b849953a6"
     )
+
+
+def test_per_unit_force_bc_entry_is_a_miss(small_grids, params, tmp_path):
+    """An entry saved under the key bc had while its columns were per unit
+    force is re-assembled, never read as per unit pressure."""
+    tract, disp = small_grids
+    old_key = "d33c05015b40221e85d5cc747db49685c6b1263d228ab6c17e353f5fe62ae7a8"
+    per_force = assemble("bc", tract, disp, params).entries / tract.areas()
+    np.save(tmp_path / (old_key + ".npy"), per_force)
+    assert load_matrix(tmp_path, "bc", tract, disp, params) is None
 
 
 def test_cache_round_trip(small_grids, params, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from contactshape import (
     require_incompressible,
     spread_radius,
 )
+from contactshape.boussinesq import _exact_zz
 
 E = 2.1e5
 
@@ -191,3 +193,35 @@ def test_switch_radius_separates_candidates():
     assert inner == cn
     assert outer != cn
     assert abs(outer) < cn
+
+
+@pytest.mark.parametrize("h", [2e-3, 5e-4])
+def test_exact_zz_keeps_its_digits_in_the_far_field(h):
+    """The surface and depth terms nearly cancel far from the load; the
+    coefficient stays within 1e-12 of 60-digit arithmetic out to 1000 h."""
+    with mpmath.workdps(60):
+        k = 3 / (4 * mpmath.pi * mpmath.mpf(E))
+        hh = mpmath.mpf(h)
+        worst = 0.0
+        for reach in np.geomspace(0.1, 1000.0, 41):
+            for angle in (0.0, 0.7, 2.0):
+                x, y = reach * h * math.cos(angle), reach * h * math.sin(angle)
+                s = mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2
+                t = s + hh * hh
+                want = k * (1 / mpmath.sqrt(s) - (s + 2 * hh * hh) / (t * mpmath.sqrt(t)))
+                got = bc_effective_block(x, y, h, E)[2, 2]
+                worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("s", [5e-324, 1e-320, 4e-314, 1e-300])
+def test_exact_zz_at_vanishing_offsets(s):
+    """Where h^2 / s overflows, the coefficient is its surface term alone:
+    finite and positive, so the on-axis candidate still wins."""
+    h = 2e-3
+    got = _exact_zz(s, h, E)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(3.0 / (4.0 * math.pi * E * math.sqrt(s)), rel=1e-15)
+    x = math.sqrt(s)
+    assert bc_resolved_zz(x, 0.0, 4e-8, h, E) == bc_approx_coefficients(4e-8, h, E)[1]
+    assert bc_effective_block(x, 0.0, h, E)[2, 2] == math.inf

@@ -244,6 +244,57 @@ def test_compare_command(tmp_path, capsys):
     assert "love peak" in text and "bc[const] peak" in text and "bc[exact] peak" in text
 
 
+def test_compare_refuses_bc_on_a_compressible_cover(tmp_path, capsys):
+    """bc holds only for poisson_ratio 0.5, and compare profiles bc."""
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps({"poisson_ratio": 0.3}))
+    code, out, err = run(
+        ["compare", "--pressure", "1e5", "--half-x", "5e-4", "--half-y", "2e-4",
+         "--params", str(p)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unsupported-model:"), err
+
+
+def test_synth_displacements_agree_in_scale_across_models(tmp_path, capsys):
+    """Both models take the same cell pressures: on the README's 10x10 pad
+    the sensed peak displacements lie within a factor 2 of each other."""
+    pad = tmp_path / "pad.grid"
+    assert main([
+        "make-grid", "--nx", "10", "--ny", "10", "--pitch", "2e-3",
+        "--origin=-9e-3,-9e-3", "--out", str(pad),
+    ]) == 0
+    peaks = {}
+    for model in ("bc", "love"):
+        d_path = tmp_path / ("d_%s.dat" % model)
+        assert main([
+            "synth", "--grid", str(pad), "--shape", "hemisphere", "--diameter", "12e-3",
+            "--center", "0,0", "--force", "1.8", "--out", str(tmp_path / "p.dat"),
+            "--displacements-out", str(d_path), "--model", model,
+        ]) == 0
+        peaks[model] = float(np.max(read_field(d_path, load_grid(pad, "displacement")).values))
+    capsys.readouterr()
+    assert 0.5 < peaks["bc"] / peaks["love"] < 2.0, peaks
+
+
+def test_psi_on_love_is_an_error(grid_file, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out, err = run(
+        [
+            "assemble", "--model", "love", "--psi", "exact",
+            "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--cache-dir", str(cache),
+        ],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert "bc model only" in err
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

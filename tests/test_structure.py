@@ -40,6 +40,30 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert private_reach_ins() == []
 
 
+def model_imports(package_dir=PACKAGE_DIR):
+    """``file:line module`` for every import of an elastic-model module
+    (``boussinesq``, ``love``)."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            else:
+                continue
+            for name in sorted({"boussinesq", "love"} & set(parts)):
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
+    return found
+
+
+def test_only_assembly_knows_the_elastic_models():
+    """Which model runs, and in which unit its kernel works, is assembly's
+    decision; the package root re-exports the kernels."""
+    allowed = ("assembly.py", "__init__.py")
+    assert [f for f in model_imports() if f.split(":")[0] not in allowed] == []
+
+
 def test_import_leaves_scipy_unloaded():
     """scipy only serves the quadrature oracle, so importing the package
     or its command line front end must not load it."""
