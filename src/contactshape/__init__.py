@@ -8,13 +8,11 @@ can re-sample the reconstruction onto arbitrary virtual sensor layouts.
 
 from .boussinesq import (
     bc_approx_coefficients,
-    bc_approx_displacement,
     bc_effective_block,
     bc_point_displacement,
     bc_resolved_block,
     bc_resolved_coefficient,
     bc_resolved_zz,
-    bc_switch_radius,
     psi,
     require_incompressible,
     spread_radius,

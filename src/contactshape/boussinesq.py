@@ -1,19 +1,18 @@
 """Point-load elastic model for an incompressible half space.
 
-For nu = 1/2 the surface-load displacement field at a point (x, y, z)
-due to a concentrated force (Fx, Fy, Fz) at the origin reduces to
+For nu = 1/2 the displacement at a point r = (x, y, z) due to a
+concentrated force F on the surface at the origin is G(r) F, with the
+point-load Green's tensor
 
-    ux = 3/(4 pi E) * [Fx (1/rho + x^2/rho^3) + Fy x y/rho^3 + Fz x z/rho^3]
-    uy = 3/(4 pi E) * [Fx x y/rho^3 + Fy (1/rho + y^2/rho^3) + Fz y z/rho^3]
-    uz = 3/(4 pi E) * [Fx x z/rho^3 + Fy y z/rho^3 + Fz (1/rho + z^2/rho^3)]
+    G(r) = 3/(4 pi E) * (I / rho + r r^T / rho^3),    rho = |r|
 
-with rho = sqrt(x^2 + y^2 + z^2).  What the capacitive layer senses is
-the effective displacement: the field at the surface minus the field at
-depth h_c (the compressed cover thickness), because the taxel electrode
-rides on the bottom of the cover.  Subtracting the two evaluations gives
-nine closed-form influence coefficients per node pair.
+(Johnson, Contact Mechanics, CUP 1985, section 3.2).  What the
+capacitive layer senses is the effective displacement: the field at the
+surface minus the field at depth h_c (the compressed cover thickness),
+because the taxel electrode rides on the bottom of the cover.  So each
+node pair's influence block is G at the surface minus G at depth h_c.
 
-Five of those coefficients diverge when the two nodes are vertically
+Five entries of that block diverge when the two nodes are vertically
 aligned.  An approximate solution spreads the force over the cell area
 (radius-equivalent scale z0 = sqrt(3 A / (2 pi))) and stays finite; each
 coefficient is resolved by keeping whichever candidate has the smaller
@@ -63,6 +62,29 @@ def psi(x: float, mode: str = "const") -> float:
     raise InvalidArgumentError("psi mode must be one of %s" % (PSI_MODES,))
 
 
+def _green(x: float, y: float, z: float, young_modulus: float):
+    """Green's tensor G(x, y, z) as a 3x3 array, or None where rho^3 is zero.
+
+    Built from Python floats: numpy's eye/outer cost more than the formula.
+    """
+    rho2 = x * x + y * y + z * z
+    rho = math.sqrt(rho2)
+    rho3 = rho2 * rho
+    if rho3 == 0.0:
+        return None
+    k = 3.0 / (4.0 * math.pi * young_modulus)
+    d = k / rho
+    kx, ky, kz = k * x / rho3, k * y / rho3, k * z / rho3
+    xy, xz, yz = kx * y, kx * z, ky * z
+    return np.array(
+        [
+            [d + kx * x, xy, xz],
+            [xy, d + ky * y, yz],
+            [xz, yz, d + kz * z],
+        ]
+    )
+
+
 def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     """Displacement vector (ux, uy, uz) at ``offset`` from a point force.
 
@@ -71,20 +93,13 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     The load point raises SingularPointError, and so does any offset so
     small (below about 1e-103 m) that rho^3 underflows to zero.
     """
-    fx, fy, fz = (float(f) for f in force)
     x, y, z = (float(c) for c in offset)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
-    rho2 = x * x + y * y + z * z
-    rho = math.sqrt(rho2)
-    rho3 = rho2 * rho
-    if rho3 == 0.0:
+    g = _green(x, y, z, young_modulus)
+    if g is None:
         raise SingularPointError("point-load displacement diverges at the load point")
-    k = 3.0 / (4.0 * math.pi * young_modulus)
-    ux = k * (fx * (1.0 / rho + x * x / rho3) + fy * x * y / rho3 + fz * x * z / rho3)
-    uy = k * (fx * x * y / rho3 + fy * (1.0 / rho + y * y / rho3) + fz * y * z / rho3)
-    uz = k * (fx * x * z / rho3 + fy * y * z / rho3 + fz * (1.0 / rho + z * z / rho3))
-    return np.array([ux, uy, uz])
+    return g @ np.asarray(force, dtype=float)
 
 
 def _exact_zz(s: float, h_c: float, young_modulus: float) -> float:
@@ -108,43 +123,21 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
 
     Row r, column c holds the effective displacement component r at the
     sensing node per unit force component c on the traction node, the
-    nodes being offset by (x, y) in plane with cover thickness h_c.
-    Entries that diverge at x = y = 0 are reported as +inf sentinels,
-    also for offsets so small (below about 1e-103 m) that s^(3/2)
-    underflows to zero.
+    nodes being offset by (x, y) in plane with cover thickness h_c: the
+    Green's tensor at the surface minus at depth h_c, with the
+    normal-normal entry from ``_exact_zz``.  Entries that diverge at
+    x = y = 0 are reported as +inf sentinels, also for offsets so small
+    (below about 1e-103 m) that s^(3/2) underflows to zero.
     """
     if not (h_c > 0.0):
         raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
-    k = 3.0 / (4.0 * math.pi * young_modulus)
-    s = x * x + y * y
-    h2 = h_c * h_c
-    t = s + h2
-    t32 = t * math.sqrt(t)
-    s32 = s * math.sqrt(s)
-    if s32 == 0.0:
+    surface = _green(x, y, 0.0, young_modulus)
+    if surface is None:
         inf = math.inf
-        return np.array(
-            [
-                [inf, inf, 0.0],
-                [inf, inf, 0.0],
-                [0.0, 0.0, inf],
-            ]
-        )
-    x2 = x * x
-    y2 = y * y
-    c00 = k * ((2.0 * x2 + y2) / s32 - (2.0 * x2 + y2 + h2) / t32)
-    c01 = k * (x * y / s32 - x * y / t32)
-    c02 = k * (-x * h_c / t32)
-    c11 = k * ((x2 + 2.0 * y2) / s32 - (x2 + 2.0 * y2 + h2) / t32)
-    c12 = k * (-y * h_c / t32)
-    c22 = _exact_zz(s, h_c, young_modulus)
-    return np.array(
-        [
-            [c00, c01, c02],
-            [c01, c11, c12],
-            [c02, c12, c22],
-        ]
-    )
+        return np.array([[inf, inf, 0.0], [inf, inf, 0.0], [0.0, 0.0, inf]])
+    blk = surface - _green(x, y, h_c, young_modulus)
+    blk[2, 2] = _exact_zz(x * x + y * y, h_c, young_modulus)
+    return blk
 
 
 def spread_radius(cell_area: float) -> float:
@@ -167,15 +160,6 @@ def bc_approx_coefficients(
     p = psi(h_c / z0, psi_mode)
     base = 9.0 / (4.0 * math.pi * young_modulus * z0) * p
     return (base, 2.0 * base)
-
-
-def bc_approx_displacement(
-    force, cell_area: float, h_c: float, young_modulus: float, psi_mode: str = "const"
-) -> np.ndarray:
-    """Effective displacement of the spread-load solution (on axis)."""
-    ct, cn = bc_approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
-    fx, fy, fz = (float(f) for f in force)
-    return np.array([ct * fx, ct * fy, cn * fz])
 
 
 def bc_resolved_coefficient(exact: float, approx: float) -> float:
@@ -227,35 +211,3 @@ def bc_resolved_zz(
     if s == 0.0:
         return cn
     return bc_resolved_coefficient(_exact_zz(s, h_c, young_modulus), cn)
-
-
-def bc_switch_radius(
-    cell_area: float, h_c: float, young_modulus: float, psi_mode: str = "const"
-) -> float:
-    """Radius where the normal-normal resolution hands over to the exact value.
-
-    Diagnostic: below the returned radius the approximate candidate has
-    the smaller magnitude, above it the exact value does.
-    """
-    _, cn = bc_approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
-
-    def wins_exact(r):
-        return abs(_exact_zz(r * r, h_c, young_modulus)) <= cn
-
-    r_hi = h_c + spread_radius(cell_area)
-    while not wins_exact(r_hi):
-        r_hi *= 2.0
-        if r_hi > 1e6 * h_c:
-            raise InvalidArgumentError("no handover radius found (approx never loses)")
-    r_lo = r_hi
-    while wins_exact(r_lo):
-        r_lo *= 0.5
-        if r_lo < 1e-12 * h_c:
-            raise InvalidArgumentError("no handover radius found (exact never loses)")
-    for _ in range(200):
-        mid = 0.5 * (r_lo + r_hi)
-        if wins_exact(mid):
-            r_hi = mid
-        else:
-            r_lo = mid
-    return 0.5 * (r_lo + r_hi)

@@ -22,7 +22,7 @@ INDENTER_SHAPES = ("hemisphere", "cylinder")
 
 CONSTRAINT_MODES = ("free", "nonneg")
 
-DEFAULT_MAX_FORCE = 3.0  # N; matches the probe range the skin is rated for
+MAX_FORCE = 3.0  # N; matches the probe range the skin is rated for
 
 BENCHMARK_PITCH = 2e-3  # m, cell pitch of the assembly-timing grids
 
@@ -39,7 +39,6 @@ class IndenterSpec:
     diameter: float
     center: tuple[float, float]
     force: float
-    max_force: float = DEFAULT_MAX_FORCE
 
     def __post_init__(self):
         if self.shape not in INDENTER_SHAPES:
@@ -48,9 +47,9 @@ class IndenterSpec:
             )
         if not (self.diameter > 0.0):
             raise InvalidArgumentError("indenter diameter must be positive")
-        if not (0.0 < self.force <= self.max_force):
+        if not (0.0 < self.force <= MAX_FORCE):
             raise InvalidArgumentError(
-                "force must lie in (0, %g] N, got %r" % (self.max_force, self.force)
+                "force must lie in (0, %g] N, got %r" % (MAX_FORCE, self.force)
             )
 
 
@@ -187,14 +186,16 @@ def reconstruct(
     dv = displacements.values if isinstance(displacements, FieldVector) else np.asarray(
         displacements, dtype=float
     )
+    if dv.shape != (len(disp_grid),):
+        raise InvalidArgumentError(
+            "displacement vector of shape %s does not match %d sensing nodes"
+            % (dv.shape, len(disp_grid))
+        )
+    if not np.all(np.isfinite(dv)):
+        raise InvalidArgumentError("displacement vector must be finite")
     mat, mat_cached, seconds = _obtain_matrix(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
     )
-    if dv.shape != (mat.entries.shape[0],):
-        raise InvalidArgumentError(
-            "displacement vector length %d does not match %d sensing nodes"
-            % (len(dv), mat.entries.shape[0])
-        )
     timings = {("matrix_load_ms" if mat_cached else "assembly_ms"): 1e3 * seconds}
     converged = True
     if constraint == "free":

@@ -45,7 +45,8 @@ class ElastomerParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
                 raise InvalidArgumentError("%s must be a finite number, got %r" % (f.name, value))
         if not (self.young_modulus > 0.0):
             raise InvalidArgumentError("Young modulus must be positive")

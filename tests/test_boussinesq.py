@@ -9,12 +9,10 @@ from contactshape import (
     SingularPointError,
     UnsupportedModelError,
     bc_approx_coefficients,
-    bc_approx_displacement,
     bc_effective_block,
     bc_point_displacement,
     bc_resolved_block,
     bc_resolved_zz,
-    bc_switch_radius,
     bc_point_displacement as point_disp,
     psi,
     require_incompressible,
@@ -143,13 +141,6 @@ def test_approx_coefficients_values():
     assert cn == pytest.approx(2.0 * ct, rel=1e-15)
 
 
-def test_approx_displacement_is_diagonal():
-    u = bc_approx_displacement((2.0, -1.0, 3.0), 4e-8, 2e-3, E)
-    assert u[0] == pytest.approx(2.0 * CT_CONST, rel=1e-14)
-    assert u[1] == pytest.approx(-1.0 * CT_CONST, rel=1e-14)
-    assert u[2] == pytest.approx(3.0 * CN_CONST, rel=1e-14)
-
-
 def test_resolved_block_on_axis():
     blk = bc_resolved_block(0.0, 0.0, 4e-8, 2e-3, E)
     assert np.all(np.isfinite(blk))
@@ -184,15 +175,20 @@ def test_resolved_zz_matches_block():
         assert zz == blk[2, 2]
 
 
-def test_switch_radius_separates_candidates():
-    r = bc_switch_radius(4e-8, 2e-3, E)
-    assert 0.0 < r < 0.1
-    _, cn = bc_approx_coefficients(4e-8, 2e-3, E)
-    inner = bc_resolved_zz(r * 0.99, 0.0, 4e-8, 2e-3, E)
-    outer = bc_resolved_zz(r * 1.01, 0.0, 4e-8, 2e-3, E)
-    assert inner == cn
-    assert outer != cn
-    assert abs(outer) < cn
+def test_resolved_zz_switches_once_along_a_ray():
+    """Out from the axis, the normal-normal coefficient is the on-axis
+    candidate cn up to one radius and the exact value beyond it."""
+    area, h = 4e-8, 2e-3
+    _, cn = bc_approx_coefficients(area, h, E)
+    ray = [(0.6 * r, 0.8 * r) for r in np.geomspace(1e-6, 100.0, 2001) * h]
+    got = [bc_resolved_zz(x, y, area, h, E) for x, y in ray]
+    exact = [_exact_zz(x * x + y * y, h, E) for x, y in ray]
+    near = [g == cn for g in got]
+    assert near[0] and not near[-1]
+    assert sum(a != b for a, b in zip(near, near[1:])) == 1
+    first_far = near.index(False)
+    assert got[first_far:] == exact[first_far:]
+    assert all(abs(e) > cn for e in exact[:first_far])
 
 
 @pytest.mark.parametrize("h", [2e-3, 5e-4])
@@ -225,3 +221,27 @@ def test_exact_zz_at_vanishing_offsets(s):
     x = math.sqrt(s)
     assert bc_resolved_zz(x, 0.0, 4e-8, h, E) == bc_approx_coefficients(4e-8, h, E)[1]
     assert bc_effective_block(x, 0.0, h, E)[2, 2] == math.inf
+
+
+@pytest.mark.parametrize("h", [2e-3, 5e-4])
+def test_effective_block_keeps_its_digits_in_the_far_field(h):
+    """Every block entry is surface minus depth of the Green's tensor; it
+    stays within 1e-9 of 50-digit arithmetic from 0.1 h out to 1000 h."""
+    with mpmath.workdps(50):
+        k = 3 / (4 * mpmath.pi * mpmath.mpf(E))
+
+        def green(r):
+            rho = mpmath.sqrt(sum(c * c for c in r))
+            return [[k * ((i == j) / rho + r[i] * r[j] / rho**3) for j in range(3)]
+                    for i in range(3)]
+
+        for reach in np.geomspace(0.1, 1000.0, 41):
+            for angle in (0.3, 2.0, 4.1):
+                x, y = reach * h * math.cos(angle), reach * h * math.sin(angle)
+                xm, ym = mpmath.mpf(x), mpmath.mpf(y)
+                top, deep = green((xm, ym, 0)), green((xm, ym, mpmath.mpf(h)))
+                got = bc_effective_block(x, y, h, E)
+                for i in range(3):
+                    for j in range(3):
+                        want = top[i][j] - deep[i][j]
+                        assert float(abs((got[i, j] - want) / want)) <= 1e-9, (reach, i, j)

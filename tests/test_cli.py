@@ -433,6 +433,21 @@ def test_params_file_round_trip(grid_file, tmp_path, capsys):
     assert "unknown keys" in err
 
 
+def test_boolean_params_are_one_error_line(grid_file, tmp_path, capsys):
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps({"young_modulus": True}))
+    code, out, err = run(
+        [
+            "assemble", "--model", "love", "--params", str(p),
+            "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    single_error_line(err)
+
+
 def test_module_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "contactshape.cli", "make-grid",

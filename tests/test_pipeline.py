@@ -37,8 +37,6 @@ def test_indenter_validation():
         IndenterSpec("hemisphere", 8e-3, (0.0, 0.0), 3.5)
     with pytest.raises(InvalidArgumentError):
         IndenterSpec("hemisphere", 8e-3, (0.0, 0.0), 0.0)
-    # a laxer rating admits a bigger push
-    IndenterSpec("hemisphere", 8e-3, (0.0, 0.0), 3.5, max_force=10.0)
 
 
 def test_synth_total_force_and_profile(pad):
@@ -118,6 +116,16 @@ def test_reconstruct_guards(pad, params):
         reconstruct(np.zeros(36), "bc", tract, disp, params, constraint="clamped")
     with pytest.raises(InvalidArgumentError):
         reconstruct(np.zeros(35), "bc", tract, disp, params)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(5), np.zeros((6, 6)), np.float64(0.0), np.full(36, np.nan)])
+def test_bad_displacements_are_refused_before_assembly(pad, params, tmp_path, bad):
+    tract, disp = pad
+    reset_counters()
+    with pytest.raises(InvalidArgumentError):
+        reconstruct(bad, "bc", tract, disp, params, cache_dir=tmp_path)
+    assert counters()["assemblies"] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_report_dict(pad, params):

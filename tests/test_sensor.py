@@ -47,6 +47,17 @@ def test_params_must_be_finite_numbers(name, bad):
         ElastomerParams(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["young_modulus", "poisson_ratio", "nominal_thickness", "permittivity_vacuum",
+     "permittivity_relative", "taxel_area"],
+)
+@pytest.mark.parametrize("bad", [True, False])
+def test_params_refuse_booleans(name, bad):
+    with pytest.raises(InvalidArgumentError, match=name):
+        ElastomerParams(**{name: bad})
+
+
 def test_forward_model_spot_value(params):
     assert delta_c_from_thickness(1.5e-3, params) == pytest.approx(
         DELTA_C_AT_1P5MM, rel=1e-12
