@@ -11,7 +11,6 @@ from .boussinesq import (
     bc_effective_block,
     bc_point_displacement,
     bc_resolved_block,
-    bc_resolved_coefficient,
     bc_resolved_zz,
     psi,
     require_incompressible,

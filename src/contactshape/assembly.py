@@ -127,7 +127,7 @@ def assemble(
     nu = params.poisson_ratio
     # kernel(x, y, a, b): the normal-normal coefficient of one pair
     if model == "bc":
-        kernel = lambda x, y, a, b: boussinesq.bc_resolved_zz(x, y, 4.0 * a * b, h, E, psi_mode)
+        kernel = boussinesq.bc_zz_kernel(h, E, psi_mode)
     else:
         kernel = lambda x, y, a, b: love.love_effective_zz(x, y, a, b, h, E, nu)
     tract = tract_grid.cells.tolist()

@@ -18,6 +18,11 @@ aligned.  An approximate solution spreads the force over the cell area
 coefficient is resolved by keeping whichever candidate has the smaller
 magnitude, which switches from the approximate value near the axis to
 the exact value in the far field.
+
+Every public function checks its numeric arguments and raises
+InvalidArgumentError for a non-finite value, a non-positive modulus,
+cover thickness or cell area; ``bc_zz_kernel`` hands assembly's
+per-pair loop the unchecked normal-normal form.
 """
 
 from __future__ import annotations
@@ -38,6 +43,21 @@ PSI_CONST = 0.25
 _SUPPORTED_NU = 0.5
 
 
+def _check_finite(what: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidArgumentError("%s must be finite, got %r" % (what, values))
+
+
+def _check_positive(what: str, value: float) -> None:
+    if not (0.0 < value < math.inf):
+        raise InvalidArgumentError("%s must be positive and finite, got %r" % (what, value))
+
+
+def _check_layer(h_c: float, young_modulus: float) -> None:
+    _check_positive("cover thickness", h_c)
+    _check_positive("young modulus", young_modulus)
+
+
 def require_incompressible(nu: float) -> None:
     """This model is only valid for nu = 1/2."""
     if nu != _SUPPORTED_NU:
@@ -56,8 +76,8 @@ def psi(x: float, mode: str = "const") -> float:
     if mode == "const":
         return PSI_CONST
     if mode == "exact":
-        if not (x > 0.0):
-            raise InvalidArgumentError("psi exact mode needs x > 0, got %r" % x)
+        if not (0.0 < x < math.inf):
+            raise InvalidArgumentError("psi exact mode needs a finite x > 0, got %r" % x)
         return (PSI_SLOPE * x - PSI_OFFSET) / x
     raise InvalidArgumentError("psi mode must be one of %s" % (PSI_MODES,))
 
@@ -94,12 +114,16 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     small (below about 1e-103 m) that rho^3 underflows to zero.
     """
     x, y, z = (float(c) for c in offset)
+    force = np.asarray(force, dtype=float)
+    _check_finite("offset", x, y, z)
+    _check_finite("force", *force.ravel().tolist())
+    _check_positive("young modulus", young_modulus)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
     g = _green(x, y, z, young_modulus)
     if g is None:
         raise SingularPointError("point-load displacement diverges at the load point")
-    return g @ np.asarray(force, dtype=float)
+    return g @ force
 
 
 def _exact_zz(s: float, h_c: float, young_modulus: float) -> float:
@@ -129,8 +153,8 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
     x = y = 0 are reported as +inf sentinels, also for offsets so small
     (below about 1e-103 m) that s^(3/2) underflows to zero.
     """
-    if not (h_c > 0.0):
-        raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
+    _check_finite("offset", x, y)
+    _check_layer(h_c, young_modulus)
     surface = _green(x, y, 0.0, young_modulus)
     if surface is None:
         inf = math.inf
@@ -142,8 +166,11 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
 
 def spread_radius(cell_area: float) -> float:
     """Equivalent spreading scale z0 = sqrt(3 A / (2 pi)) of a cell."""
-    if not (cell_area > 0.0):
-        raise InvalidArgumentError("cell area must be positive, got %r" % cell_area)
+    _check_positive("cell area", cell_area)
+    return _spread_radius(cell_area)
+
+
+def _spread_radius(cell_area: float) -> float:
     return math.sqrt(1.5 * cell_area / math.pi)
 
 
@@ -156,13 +183,19 @@ def bc_approx_coefficients(
     on-axis response; they couple each force component only to its own
     displacement component.
     """
-    z0 = spread_radius(cell_area)
+    _check_positive("cell area", cell_area)
+    _check_layer(h_c, young_modulus)
+    return _approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
+
+
+def _approx_coefficients(cell_area, h_c, young_modulus, psi_mode):
+    z0 = _spread_radius(cell_area)
     p = psi(h_c / z0, psi_mode)
     base = 9.0 / (4.0 * math.pi * young_modulus * z0) * p
     return (base, 2.0 * base)
 
 
-def bc_resolved_coefficient(exact: float, approx: float) -> float:
+def _resolved_coefficient(exact: float, approx: float) -> float:
     """Pick the candidate with the smaller magnitude.
 
     Continuous switch between the approximate value near the axis and
@@ -188,9 +221,9 @@ def bc_resolved_block(
     """
     blk = bc_effective_block(x, y, h_c, young_modulus)
     ct, cn = bc_approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
-    blk[0, 0] = bc_resolved_coefficient(blk[0, 0], ct)
-    blk[1, 1] = bc_resolved_coefficient(blk[1, 1], ct)
-    blk[2, 2] = bc_resolved_coefficient(blk[2, 2], cn)
+    blk[0, 0] = _resolved_coefficient(blk[0, 0], ct)
+    blk[1, 1] = _resolved_coefficient(blk[1, 1], ct)
+    blk[2, 2] = _resolved_coefficient(blk[2, 2], cn)
     blk[~np.isfinite(blk)] = 0.0
     return blk
 
@@ -204,10 +237,27 @@ def bc_resolved_zz(
     psi_mode: str = "const",
 ) -> float:
     """Resolved normal-normal coefficient only (the usual sensing mode)."""
-    if not (h_c > 0.0):
-        raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
-    _, cn = bc_approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
+    _check_finite("offset", x, y)
+    _check_positive("cell area", cell_area)
+    _check_layer(h_c, young_modulus)
+    return _resolved_zz(x, y, cell_area, h_c, young_modulus, psi_mode)
+
+
+def bc_zz_kernel(h_c: float, young_modulus: float, psi_mode: str = "const"):
+    """``bc_resolved_zz`` as kernel(x, y, a, b) for a cell of half-extents
+    (a, b), area 4ab, at in-plane offset (x, y).
+
+    h_c and the modulus are checked here, once; the kernel itself checks
+    nothing but the psi mode, so it is fed finite offsets and positive
+    half-extents (a validated grid's cells).
+    """
+    _check_layer(h_c, young_modulus)
+    return lambda x, y, a, b: _resolved_zz(x, y, 4.0 * a * b, h_c, young_modulus, psi_mode)
+
+
+def _resolved_zz(x, y, cell_area, h_c, young_modulus, psi_mode):
+    _, cn = _approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
     s = x * x + y * y
     if s == 0.0:
         return cn
-    return bc_resolved_coefficient(_exact_zz(s, h_c, young_modulus), cn)
+    return _resolved_coefficient(_exact_zz(s, h_c, young_modulus), cn)

@@ -192,7 +192,11 @@ def _cmd_reconstruct(args):
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report.as_dict(), fh, indent=1)
-    rank = "" if report.rank is None else ", rank %d" % report.rank
+    if report.rank is not None:
+        detail = ", rank %d" % report.rank
+    else:
+        done = "%d iterations" if report.converged else "not converged after %d iterations"
+        detail = ", " + done % report.iterations
     sources = ", ".join(
         "%s %s" % (what, "from cache" if source == "cache" else source)
         for what, source in (("matrix", report.matrix_source), ("inverse", report.inverse_source))
@@ -204,7 +208,7 @@ def _cmd_reconstruct(args):
             report.model,
             report.constraint_mode,
             report.residual_norm,
-            rank,
+            detail,
             report.timings_ms["online_ms"],
             sources,
         )

@@ -93,7 +93,10 @@ class SolveReport:
     ``nonneg``, which uses no inverse.  Each time in ``timings_ms`` is
     named for what it measured: ``assembly_ms`` or ``matrix_load_ms``,
     then on ``free`` ``inversion_ms`` (the SVD) or ``inverse_load_ms``,
-    and ``online_ms``.
+    and ``online_ms``.  On ``nonneg``, ``iterations`` counts the NNLS
+    pivoting iterations and ``free_set_solver`` names how its free sets
+    were solved, "gram" or "lstsq" (``solvers.NnlsResult``); both are
+    None on ``free``.
     """
 
     tractions: FieldVector
@@ -107,6 +110,8 @@ class SolveReport:
     matrix_source: str
     inverse_source: str | None
     converged: bool = True
+    iterations: int | None = None
+    free_set_solver: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -116,6 +121,8 @@ class SolveReport:
             "rank": self.rank,
             "residual_norm": self.residual_norm,
             "converged": self.converged,
+            "iterations": self.iterations,
+            "free_set_solver": self.free_set_solver,
             "matrix_source": self.matrix_source,
             "inverse_source": self.inverse_source,
             "timings_ms": dict(self.timings_ms),
@@ -197,7 +204,7 @@ def reconstruct(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
     )
     timings = {("matrix_load_ms" if mat_cached else "assembly_ms"): 1e3 * seconds}
-    converged = True
+    converged, iterations, free_set_solver = True, None, None
     if constraint == "free":
         op, op_cached, seconds = _obtain_inverse(mat, cache_dir)
         timings["inverse_load_ms" if op_cached else "inversion_ms"] = 1e3 * seconds
@@ -213,7 +220,7 @@ def reconstruct(
         q = res.x
         rank = None
         inverse_source = None
-        converged = res.converged
+        converged, iterations, free_set_solver = res.converged, res.iterations, res.free_set_solver
     recon = mat.entries @ q
     residual = float(np.linalg.norm(recon - dv))
     return SolveReport(
@@ -228,6 +235,8 @@ def reconstruct(
         "cache" if mat_cached else "assembled",
         inverse_source,
         converged,
+        iterations,
+        free_set_solver,
     )
 
 

@@ -4,7 +4,14 @@ The NNLS solver enforces Q >= 0 on reconstructed tractions (contact can
 only push).  It runs block principal pivoting on the KKT system: swap
 every infeasible index between the free and active sets at once, and
 when the infeasibility count stops improving fall back to swapping only
-the largest infeasible index, which cannot cycle.
+the largest infeasible index, which cannot cycle.  Each pivoting step
+solves the least-squares problem on the free columns F from the Gram
+matrix G = C^T C, formed once per solve, as G[F, F] x = (C^T d)[F], and
+takes the dual as G x - C^T d (Kim & Park, SIAM J. Sci. Comput. 33(6),
+2011).  With fewer rows than columns G is singular, so every step runs
+``lstsq`` on C[:, F] instead; so does every step after one whose Gram
+solution fails ``_free_step``'s accuracy test.  The result says which
+ran, and how many iterations it took.
 
 Fourier-Motzkin elimination projects a system of linear inequalities
 a . x >= b onto fewer variables by pairing every lower bound on the
@@ -27,25 +34,52 @@ NNLS_KKT_RTOL = 1e-10
 NNLS_MAX_ITERATIONS = 300
 NNLS_BACKUP_TRIGGER = 3
 
+_EPS = np.finfo(float).eps
+
 FME_MAX_VARS = 25
 FME_MAX_ROWS = 10**6
 
 
 @dataclass(frozen=True)
 class NnlsResult:
+    """One non-negative solve.  ``free_set_solver`` is "gram" unless a
+    free-set step ran ``lstsq`` (see ``_free_step``), then "lstsq"."""
+
     x: np.ndarray
     residual: float
     iterations: int
     converged: bool
     kkt_tolerance: float
+    free_set_solver: str
+
+
+def _free_step(C, d, G, ctd, free, tol):
+    """Least-squares x on the free columns F, and G if later steps may use it.
+
+    With G = C^T C, x solves G[F, F] x = (C^T d)[F], kept when the solve
+    meets no zero pivot and the rounding the dual G x - C^T d can carry,
+    eps max|G| ||x||_1, stays within the KKT tolerance.  A nearly
+    singular G[F, F] (C rank-deficient on F) gives a huge x and fails
+    that test.  Otherwise x comes from ``lstsq`` on C[:, F], and None is
+    returned for G, so the rest of the solve stays on C.
+    """
+    if G is not None:
+        try:
+            x = np.linalg.solve(G[np.ix_(free, free)], ctd[free])
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and _EPS * G.diagonal().max() * np.abs(x).sum() <= tol:
+            return x, G
+    return np.linalg.lstsq(C[:, free], d, rcond=None)[0], None
 
 
 def nnls_solve(C, d) -> NnlsResult:
     """Minimize ||C x - d|| subject to x >= 0 by block principal pivoting.
 
     Returns the solution with x clamped exactly non-negative.  If the
-    iteration limit is hit the best iterate is returned with
-    ``converged`` False rather than raising.
+    iteration limit is hit, the iterate x (x = 0 included) with the
+    lowest ||C max(x, 0) - d|| is returned, clamped, with ``converged``
+    False rather than raising.
     """
     C = np.asarray(C, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -59,10 +93,14 @@ def nnls_solve(C, d) -> NnlsResult:
     n = C.shape[1]
     ctd = C.T @ d
     tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
+    # with fewer rows than columns G is singular: solve on C throughout
+    G = C.T @ C if C.shape[0] >= n else None
 
     free = np.zeros(n, dtype=bool)
     x = np.zeros(n)
     y = -ctd
+    residual = float(np.linalg.norm(d))
+    best = (x, residual)
     best_infeasible = n + 1
     slack = NNLS_BACKUP_TRIGGER
     iterations = 0
@@ -91,13 +129,16 @@ def nnls_solve(C, d) -> NnlsResult:
         free ^= bad
         x = np.zeros(n)
         if free.any():
-            sol, *_ = np.linalg.lstsq(C[:, free], d, rcond=None)
-            x[free] = sol
-        y = C.T @ (C @ x - d)
+            x[free], G = _free_step(C, d, G, ctd, free, tol)
+        y = C.T @ (C @ x - d) if G is None else G @ x - ctd
+        residual = float(np.linalg.norm(C @ np.maximum(x, 0.0) - d))
+        if residual < best[1]:
+            best = (x, residual)
 
-    x = np.maximum(x, 0.0)
-    residual = float(np.linalg.norm(C @ x - d))
-    return NnlsResult(x, residual, iterations, converged, float(tol))
+    if not converged:
+        x, residual = best
+    solver = "lstsq" if G is None else "gram"
+    return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver)
 
 
 def _as_number(v, exact: bool):

@@ -18,7 +18,7 @@ from contactshape import (
     require_incompressible,
     spread_radius,
 )
-from contactshape.boussinesq import _exact_zz
+from contactshape.boussinesq import PSI_MODES, _exact_zz, bc_zz_kernel
 
 E = 2.1e5
 
@@ -245,3 +245,51 @@ def test_effective_block_keeps_its_digits_in_the_far_field(h):
                     for j in range(3):
                         want = top[i][j] - deep[i][j]
                         assert float(abs((got[i, j] - want) / want)) <= 1e-9, (reach, i, j)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_refuse_non_finite_inputs(bad):
+    calls = [
+        lambda: bc_point_displacement((0.0, 0.0, 1.0), (bad, 0.0, 0.0), E),
+        lambda: bc_point_displacement((0.0, bad, 1.0), (1e-3, 0.0, 0.0), E),
+        lambda: bc_point_displacement((0.0, 0.0, 1.0), (1e-3, 0.0, 0.0), bad),
+        lambda: bc_effective_block(bad, 0.0, 2e-3, E),
+        lambda: bc_effective_block(1e-3, 0.0, bad, E),
+        lambda: bc_resolved_zz(bad, 0.0, 4e-8, 2e-3, E),
+        lambda: bc_resolved_zz(0.0, bad, 4e-8, 2e-3, E),
+        lambda: bc_resolved_zz(1e-3, 0.0, bad, 2e-3, E),
+        lambda: bc_resolved_block(bad, 0.0, 4e-8, 2e-3, E),
+        lambda: bc_approx_coefficients(4e-8, bad, E),
+        lambda: spread_radius(bad),
+        lambda: psi(bad, "exact"),
+        lambda: bc_zz_kernel(bad, E),
+        lambda: bc_zz_kernel(2e-3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError):
+            call()
+
+
+@pytest.mark.parametrize("modulus", [0.0, -E])
+def test_kernels_refuse_a_non_positive_modulus(modulus):
+    with pytest.raises(InvalidArgumentError):
+        bc_point_displacement((0.0, 0.0, 1.0), (1e-3, 0.0, 0.0), modulus)
+    with pytest.raises(InvalidArgumentError):
+        bc_effective_block(1e-3, 0.0, 2e-3, modulus)
+    with pytest.raises(InvalidArgumentError):
+        bc_resolved_zz(1e-3, 0.0, 4e-8, 2e-3, modulus)
+    with pytest.raises(InvalidArgumentError):
+        bc_approx_coefficients(4e-8, 2e-3, modulus)
+    with pytest.raises(InvalidArgumentError):
+        bc_zz_kernel(2e-3, modulus)
+
+
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_zz_kernel_is_the_resolved_zz_bitwise(mode):
+    kernel = bc_zz_kernel(2e-3, E, mode)
+    rng = np.random.default_rng(71)
+    for x, y in [(0.0, 0.0), (1e-120, 0.0)] + [tuple(p) for p in rng.uniform(-2e-2, 2e-2, (200, 2))]:
+        a, b = rng.uniform(1e-4, 2e-3, 2)
+        assert kernel(x, y, a, b) == bc_resolved_zz(x, y, 4.0 * a * b, 2e-3, E, mode)
+    with pytest.raises(InvalidArgumentError):
+        bc_zz_kernel(2e-3, E, "fancy")(1e-3, 0.0, 1e-3, 1e-3)

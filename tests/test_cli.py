@@ -15,6 +15,7 @@ from contactshape import (
     load_grid,
     read_field,
     save_readings,
+    solvers,
 )
 from contactshape.cli import main
 
@@ -146,6 +147,32 @@ def test_nonneg_report_has_no_rank(grid_file, tmp_path, capsys):
     report = json.loads(rep_path.read_text())
     assert report["constraint_mode"] == "nonneg"
     assert "rank" in report and report["rank"] is None
+    assert report["converged"] and report["free_set_solver"] == "gram"
+    assert ", %d iterations" % report["iterations"] in summary
+
+
+def test_nonneg_summary_says_when_the_solve_did_not_converge(grid_file, tmp_path, capsys, monkeypatch):
+    d_path = tmp_path / "d.dat"
+    assert main([
+        "synth", "--grid", str(grid_file), "--shape", "hemisphere",
+        "--diameter", "4e-3", "--center", "3e-3,3e-3", "--force", "1.0",
+        "--out", str(tmp_path / "q.dat"), "--displacements-out", str(d_path), "--model", "bc",
+    ]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(solvers, "NNLS_MAX_ITERATIONS", 1)
+    rep_path = tmp_path / "rep.json"
+    code, out, _ = run(
+        [
+            "reconstruct", "--model", "bc",
+            "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--displacements", str(d_path), "--constraint", "nonneg", "--report", str(rep_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert ", not converged after 1 iterations" in out
+    report = json.loads(rep_path.read_text())
+    assert not report["converged"] and report["iterations"] == 1
 
 
 def test_reconstruct_without_out_prints_only_the_summary(grid_file, tmp_path, capsys, monkeypatch):

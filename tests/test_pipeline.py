@@ -12,6 +12,7 @@ from contactshape import (
     compare_models,
     forward_solve,
     love_effective_column,
+    nnls_solve,
     reconstruct,
     resample,
     synth_contact,
@@ -135,10 +136,24 @@ def test_reconstruct_report_dict(pad, params):
     assert d["model"] == "bc"
     assert set(d) == {
         "model", "constraint_mode", "psi_mode", "rank",
-        "residual_norm", "converged", "matrix_source", "inverse_source", "timings_ms",
+        "residual_norm", "converged", "iterations", "free_set_solver",
+        "matrix_source", "inverse_source", "timings_ms",
     }
     assert d["matrix_source"] == "assembled" and d["inverse_source"] == "factorized"
+    assert d["iterations"] is None and d["free_set_solver"] is None
     assert set(d["timings_ms"]) == {"assembly_ms", "inversion_ms", "online_ms"}
+
+
+def test_nonneg_report_says_what_the_solver_did(pad, params):
+    tract, disp = pad
+    q_true = synth_contact(IndenterSpec("hemisphere", 6e-3, (5e-3, 5e-3), 1.0), tract)
+    d = apply_forward(assemble("bc", tract, disp, params), q_true)
+    report = reconstruct(d, "bc", tract, disp, params, constraint="nonneg")
+    res = nnls_solve(assemble("bc", tract, disp, params).entries, d)
+    assert report.converged and report.iterations == res.iterations > 1
+    assert report.free_set_solver == res.free_set_solver == "gram"
+    fields = report.as_dict()
+    assert (fields["iterations"], fields["free_set_solver"]) == (res.iterations, "gram")
 
 
 def test_reconstruct_uses_cache(pad, params, tmp_path):

@@ -5,15 +5,20 @@ import pytest
 import scipy.optimize
 
 from contactshape import (
+    ElastomerParams,
+    IndenterSpec,
     InequalitySystem,
     InvalidArgumentError,
     ResourceLimitError,
+    assemble,
+    build_regular_grid,
     fme_eliminate,
     fme_eliminate_all,
     fme_feasible,
     fme_worst_case_count,
     nnls_solve,
     solvers,
+    synth_contact,
 )
 
 
@@ -77,6 +82,110 @@ def test_nnls_iteration_cap_reports_nonconvergence(monkeypatch):
     assert np.all(res.x >= 0.0)
     # with breathing room the same problem converges
     assert nnls_solve(C, d).converged
+
+
+def _noisy_frames(C, tract, specs, rng):
+    """C q plus Gaussian noise of 1e-3 of each frame's peak, one row per probe."""
+    d = np.array([C @ (synth_contact(s, tract).values * tract.areas()) for s in specs])
+    return d + 1e-3 * np.max(np.abs(d), axis=1, keepdims=True) * rng.standard_normal(d.shape)
+
+
+def _with_lstsq_steps(monkeypatch, C, d):
+    """``nnls_solve`` with every free-set step forced onto ``lstsq`` on C."""
+    step = solvers._free_step
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_free_step", lambda C, d, G, *rest: step(C, d, None, *rest))
+        return nnls_solve(C, d)
+
+
+def _assert_paths_agree(monkeypatch, C, d):
+    gram = nnls_solve(C, d)
+    ref = _with_lstsq_steps(monkeypatch, C, d)
+    assert gram.free_set_solver == "gram" and ref.free_set_solver == "lstsq"
+    assert gram.converged and ref.converged and gram.iterations == ref.iterations
+    np.testing.assert_array_equal(gram.x > 0.0, ref.x > 0.0)
+    assert np.linalg.norm(gram.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+
+
+def test_gram_steps_match_lstsq_steps_on_a_skin(monkeypatch):
+    # a 24x24 bc skin under press-and-slide probe frames with 0.1 % noise
+    tract = build_regular_grid((-23e-3, -23e-3), 24, 24, 2e-3, 2e-3)
+    C = assemble("bc", tract, tract.retag("displacement"), ElastomerParams()).entries
+    rng = np.random.default_rng(11)
+    specs = [
+        IndenterSpec(shape, 9e-3, (cx, -4e-3), force)
+        for shape, cx, force in (
+            ("hemisphere", -6e-3, 0.6), ("hemisphere", -6e-3, 1.8), ("hemisphere", -2e-3, 1.8),
+            ("cylinder", 3e-3, 1.2), ("cylinder", 7e-3, 2.4),
+        )
+    ]
+    for d in _noisy_frames(C, tract, specs, rng):
+        _assert_paths_agree(monkeypatch, C, d)
+
+
+def test_gram_steps_match_lstsq_steps_on_random_problems(monkeypatch):
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(2, 20))
+        C = rng.normal(size=(n + int(rng.integers(0, 10)), n))
+        x_true = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 2.0, n))
+        d = C @ x_true + 0.3 * rng.normal(size=C.shape[0])
+        _assert_paths_agree(monkeypatch, C, d)
+
+
+def test_rank_deficient_problems():
+    rng = np.random.default_rng(67)
+    # fewer rows than columns: G = C^T C is singular, no Gram step runs
+    C = rng.normal(size=(5, 8))
+    d = rng.normal(size=5)
+    res = nnls_solve(C, d)
+    assert res.free_set_solver == "lstsq" and res.converged
+    assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
+    # a repeated column: G[F, F] is singular whenever both copies are free
+    C = rng.normal(size=(12, 6))
+    C[:, 4] = C[:, 1]
+    for _ in range(20):
+        d = rng.normal(size=12)
+        res = nnls_solve(C, d)
+        assert res.converged
+        assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
+
+
+def test_free_step_leaves_a_singular_gram_block_to_lstsq():
+    free = np.ones(2, dtype=bool)
+    for C, d in (
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0])),  # G[F, F] singular
+        (np.array([[1.0, 1.0], [0.0, 1e-7]]), np.array([0.0, 1.0])),  # x of order 1e7
+    ):
+        G, ctd = C.T @ C, C.T @ d
+        tol = solvers.NNLS_KKT_RTOL * np.max(np.abs(ctd))
+        x, G_next = solvers._free_step(C, d, G, ctd, free, tol)
+        assert G_next is None
+        np.testing.assert_array_equal(x, np.linalg.lstsq(C, d, rcond=None)[0])
+    C = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
+    d = np.array([1.0, 2.0, 3.0])
+    x, G_next = solvers._free_step(C, d, C.T @ C, C.T @ d, free, 1e-9)
+    assert G_next is not None
+    np.testing.assert_allclose(x, np.linalg.lstsq(C, d, rcond=None)[0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("model", ["bc", "love"])
+def test_iteration_cap_returns_the_best_iterate(model):
+    # 8x8 sensing nodes under 12x12 traction cells: block pivoting cycles
+    # until the cap, and its last iterate can be far worse than x = 0
+    tract = build_regular_grid((-11e-3, -11e-3), 12, 12, 2e-3, 2e-3)
+    disp = build_regular_grid((-10.5e-3, -10.5e-3), 8, 8, 3e-3, 3e-3).retag("displacement")
+    C = assemble(model, tract, disp, ElastomerParams()).entries
+    rng = np.random.default_rng(2)
+    specs = [IndenterSpec("hemisphere", 9e-3, tuple(rng.uniform(-5e-3, 5e-3, 2)), 1.5)
+             for _ in range(2)]
+    for d in _noisy_frames(C, tract, specs, rng):
+        res = nnls_solve(C, d)
+        assert not res.converged and res.iterations == solvers.NNLS_MAX_ITERATIONS
+        assert res.free_set_solver == "lstsq"
+        assert np.all(res.x >= 0.0)
+        assert res.residual == np.linalg.norm(C @ res.x - d)
+        assert res.residual <= np.linalg.norm(d)
 
 
 def test_nnls_guards():
