@@ -205,11 +205,14 @@ def matrix_key(
 ) -> str:
     """Exact content hash: any bit difference in the inputs changes it.
 
-    Every matrix is normal-only (``InfluenceMatrix.normal_only``); the
-    flag still enters the hash so that keys, and the cache entries saved
-    under them, stay what they have always been.  ``bc`` also hashes a
-    tag, so entries saved when its columns were per unit force miss.
+    Inputs ``assemble`` rejects are rejected here the same way, so only
+    a matrix that can exist has a key.  Every matrix is normal-only
+    (``InfluenceMatrix.normal_only``); the flag still enters the hash so
+    that keys, and the cache entries saved under them, stay what they
+    have always been.  ``bc`` also hashes a tag, so entries saved when
+    its columns were per unit force miss.
     """
+    _validate(model, psi_mode, params)
     h = hashlib.sha256()
     h.update(model.encode())
     h.update(b"\x01" if normal_only else b"\x00")
@@ -316,7 +319,6 @@ def load_matrix(
     present-but-unreadable or mismatched cache entry is treated as a
     miss with a warning, so callers fall back to re-assembly.
     """
-    _validate(model, psi_mode, params)
     key = matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
     shape = (len(disp_grid), len(tract_grid))
     found = _read_entry(cache_dir, key, ".npy", [shape], "re-assembling")

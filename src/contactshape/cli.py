@@ -198,7 +198,7 @@ def _cmd_reconstruct(args):
         done = "%d iterations" if report.converged else "not converged after %d iterations"
         detail = ", " + done % report.iterations
     sources = ", ".join(
-        "%s %s" % (what, "from cache" if source == "cache" else source)
+        "%s %s" % (what, "from " + source if source in ("cache", "memory") else source)
         for what, source in (("matrix", report.matrix_source), ("inverse", report.inverse_source))
         if source is not None
     )

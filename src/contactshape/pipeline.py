@@ -2,13 +2,17 @@
 
 These are the verbs behind the command line tool.  They compose the
 grid, sensor, elastic-model, assembly, and solver layers; nothing here
-adds new physics.
+adds new physics.  With a cache dir, the solve state (matrices, inverse
+operators, Gram matrices) is also held in ``memory_tier``, which every
+cache dir of the process shares, keyed by content.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +29,8 @@ CONSTRAINT_MODES = ("free", "nonneg")
 MAX_FORCE = 3.0  # N; matches the probe range the skin is rated for
 
 BENCHMARK_PITCH = 2e-3  # m, cell pitch of the assembly-timing grids
+
+MEMORY_TIER_BYTES = 128 * 2**20  # bound on the solve state held in memory
 
 
 @dataclass(frozen=True)
@@ -88,15 +94,21 @@ class SolveReport:
     """Everything one reconstruction produced, including its costs.
 
     ``tractions`` holds one pressure per traction cell, in Pa, whichever
-    model ran.  ``matrix_source`` is "cache" or "assembled".
-    ``inverse_source`` is "cache" or "factorized" on ``free`` and None on
-    ``nonneg``, which uses no inverse.  Each time in ``timings_ms`` is
-    named for what it measured: ``assembly_ms`` or ``matrix_load_ms``,
-    then on ``free`` ``inversion_ms`` (the SVD) or ``inverse_load_ms``,
-    and ``online_ms``.  On ``nonneg``, ``iterations`` counts the NNLS
-    pivoting iterations and ``free_set_solver`` names how its free sets
-    were solved, "gram" or "lstsq" (``solvers.NnlsResult``); both are
-    None on ``free``.
+    model ran.  ``matrix_source`` is "memory", "cache" or "assembled";
+    ``inverse_source`` is "memory", "cache" or "factorized" on ``free``
+    and None on ``nonneg``, which uses no inverse.  "memory" is the
+    process's ``memory_tier``, which a ``cache_dir`` puts in front of
+    the disk: a memory hit opens no file and leaves the cache dir
+    untouched.  Each time in ``timings_ms`` is named for what it
+    measured: ``assembly_ms`` or ``matrix_load_ms`` (from memory or
+    disk), then on ``free`` ``inversion_ms`` (the SVD) or
+    ``inverse_load_ms``, and ``online_ms``.  On ``nonneg``,
+    ``iterations`` counts the NNLS pivoting iterations,
+    ``free_set_solver`` names how its free sets were solved, "gram" or
+    "lstsq", ``kkt_tolerance`` is the tolerance its optimality test used
+    (``solvers.NnlsResult``), and ``active_set_size`` counts the cells
+    in contact, those with a positive pressure; all four are None on
+    ``free``.
     """
 
     tractions: FieldVector
@@ -112,6 +124,8 @@ class SolveReport:
     converged: bool = True
     iterations: int | None = None
     free_set_solver: str | None = None
+    kkt_tolerance: float | None = None
+    active_set_size: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -123,49 +137,113 @@ class SolveReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "free_set_solver": self.free_set_solver,
+            "kkt_tolerance": self.kkt_tolerance,
+            "active_set_size": self.active_set_size,
             "matrix_source": self.matrix_source,
             "inverse_source": self.inverse_source,
             "timings_ms": dict(self.timings_ms),
         }
 
 
-def _obtain(cache_dir, load, compute, save):
-    """``load()`` from the cache, else ``compute()`` and ``save`` it there;
-    without a cache, just ``compute()``.
+class MemoryTier:
+    """Solve state held in memory, by matrix key and kind, least recently
+    used first out once the arrays held pass ``max_bytes``.
 
-    Returns the object, whether it was loaded, and the seconds the load
-    or the computation took (a save is not counted).
+    A key fixes its content, so an entry never goes stale.  Every array
+    an entry holds is made read-only and counted in its bytes; an array
+    that two entries share is counted in each.  An entry larger than
+    ``max_bytes`` is not held.  A lock guards the entries, so threads
+    may share a tier.
     """
-    if cache_dir is not None:
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()  # (key, kind) -> (object, bytes)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str, kind: str):
+        """The object held for ``(key, kind)``, or None."""
+        with self._lock:
+            found = self._entries.get((key, kind))
+            if found is None:
+                return None
+            self._entries.move_to_end((key, kind))
+            return found[0]
+
+    def put(self, key: str, kind: str, obj) -> None:
+        """Hold ``obj``, with its array attributes read-only, evicting the
+        least recently used entries to stay within ``max_bytes``."""
+        arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+        size = sum(a.nbytes for a in arrays)
+        if size > self.max_bytes:
+            return
+        for a in arrays:
+            a.flags.writeable = False
+        with self._lock:
+            old = self._entries.pop((key, kind), None)
+            if old is not None:
+                self.nbytes -= old[1]
+            while self._entries and self.nbytes + size > self.max_bytes:
+                self.nbytes -= self._entries.popitem(last=False)[1][1]
+            self._entries[(key, kind)] = (obj, size)
+            self.nbytes += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+# The one tier of the process, in front of every cache dir.
+memory_tier = MemoryTier(MEMORY_TIER_BYTES)
+
+
+def _obtain(key, kind, compute, load=None, save=None):
+    """The ``kind`` of solve state for the matrix key ``key``: held in
+    memory, else ``load()``-ed from the disk cache, else ``compute()``-d
+    and ``save``-d there; from then on it is held in memory.  Without a
+    key (no cache dir), just ``compute()``, and hold nothing.
+
+    Returns the object, where it came from ("memory", "cache", or None
+    when computed), and the seconds the lookup or the computation took
+    (a save is not counted).  A memory hit touches no file.
+    """
+    if key is not None:
         t0 = time.perf_counter()
-        obj = load()
+        obj, source = memory_tier.get(key, kind), "memory"
+        if obj is None and load is not None:
+            obj, source = load(), "cache"
         if obj is not None:
-            return obj, True, time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            if source == "cache":
+                memory_tier.put(key, kind, obj)
+            return obj, source, seconds
     t0 = time.perf_counter()
     obj = compute()
     seconds = time.perf_counter() - t0
-    if cache_dir is not None:
-        save(obj)
-    return obj, False, seconds
+    if key is not None:
+        if save is not None:
+            save(obj)
+        memory_tier.put(key, kind, obj)
+    return obj, None, seconds
 
 
 def _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir):
-    """The matrix from the cache, else assembled (and cached)."""
-    return _obtain(
-        cache_dir,
-        lambda: assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode),
+    """The matrix's key (None without a cache), then the matrix from
+    memory or the cache, else assembled (and cached), as ``_obtain``."""
+    key = None
+    if cache_dir is not None:
+        key = assembly.matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
+    return (key,) + _obtain(
+        key,
+        "matrix",
         lambda: assembly.assemble(model, tract_grid, disp_grid, params, psi_mode),
+        lambda: assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode),
         lambda mat: assembly.save_matrix(mat, cache_dir),
-    )
-
-
-def _obtain_inverse(mat, cache_dir):
-    """The matrix's inverse operator from the cache, else factorized (and cached)."""
-    return _obtain(
-        cache_dir,
-        lambda: assembly.load_inverse(cache_dir, mat),
-        lambda: assembly.precompute_inverse(mat),
-        lambda op: assembly.save_inverse(op, mat, cache_dir),
     )
 
 
@@ -184,7 +262,10 @@ def reconstruct(
     ``free`` inverts through the truncated-SVD pseudo-inverse; ``nonneg``
     solves the same least-squares problem under Q >= 0.  With a
     ``cache_dir``, the matrix and (on ``free``) its inverse operator come
-    from there when it holds them, and are saved there when it does not.
+    from ``memory_tier`` or from there when either holds them, and are
+    saved there when neither does; the matrix and, on ``nonneg``, its
+    Gram matrix are held in memory from then on, so a stream of frames
+    reads no file and forms no G after its first frame.
     """
     if constraint not in CONSTRAINT_MODES:
         raise InvalidArgumentError(
@@ -200,27 +281,40 @@ def reconstruct(
         )
     if not np.all(np.isfinite(dv)):
         raise InvalidArgumentError("displacement vector must be finite")
-    mat, mat_cached, seconds = _obtain_matrix(
+    key, mat, mat_source, seconds = _obtain_matrix(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
     )
-    timings = {("matrix_load_ms" if mat_cached else "assembly_ms"): 1e3 * seconds}
+    timings = {("assembly_ms" if mat_source is None else "matrix_load_ms"): 1e3 * seconds}
     converged, iterations, free_set_solver = True, None, None
+    kkt_tolerance = active_set_size = None
     if constraint == "free":
-        op, op_cached, seconds = _obtain_inverse(mat, cache_dir)
-        timings["inverse_load_ms" if op_cached else "inversion_ms"] = 1e3 * seconds
-        inverse_source = "cache" if op_cached else "factorized"
+        op, inverse_source, seconds = _obtain(
+            key,
+            "inverse",
+            lambda: assembly.precompute_inverse(mat),
+            lambda: assembly.load_inverse(cache_dir, mat),
+            lambda op: assembly.save_inverse(op, mat, cache_dir),
+        )
+        timings["inversion_ms" if inverse_source is None else "inverse_load_ms"] = 1e3 * seconds
+        inverse_source = inverse_source or "factorized"
         t0 = time.perf_counter()
         q = assembly.apply_inverse(op, dv)
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         rank = op.rank
     else:
         t0 = time.perf_counter()
-        res = solvers.nnls_solve(mat.entries, dv)
+        # with a cache, G = C^T C is formed once per matrix and held
+        system = mat.entries
+        if key is not None:
+            system = _obtain(key, "gram", lambda: solvers.GramMatrix(mat.entries))[0]
+        res = solvers.nnls_solve(system, dv)
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         q = res.x
         rank = None
         inverse_source = None
         converged, iterations, free_set_solver = res.converged, res.iterations, res.free_set_solver
+        kkt_tolerance = res.kkt_tolerance
+        active_set_size = int(np.count_nonzero(q > 0.0))
     recon = mat.entries @ q
     residual = float(np.linalg.norm(recon - dv))
     return SolveReport(
@@ -232,11 +326,13 @@ def reconstruct(
         psi_mode,
         rank,
         timings,
-        "cache" if mat_cached else "assembled",
+        mat_source or "assembled",
         inverse_source,
         converged,
         iterations,
         free_set_solver,
+        kkt_tolerance,
+        active_set_size,
     )
 
 
@@ -251,10 +347,11 @@ def forward_solve(
     """Effective displacements the cell pressures ``tractions`` (Pa)
     produce on ``disp_grid``.
 
-    The matrix comes from ``cache_dir`` when it holds one for
-    exactly these inputs; otherwise it is assembled, and saved there.
+    The matrix comes from memory or ``cache_dir`` when either holds one
+    for exactly these inputs; otherwise it is assembled, and saved
+    there (see ``reconstruct``).
     """
-    mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)[0]
+    mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)[1]
     return FieldVector(assembly.apply_forward(mat, tractions), disp_grid)
 
 

@@ -6,12 +6,13 @@ every infeasible index between the free and active sets at once, and
 when the infeasibility count stops improving fall back to swapping only
 the largest infeasible index, which cannot cycle.  Each pivoting step
 solves the least-squares problem on the free columns F from the Gram
-matrix G = C^T C, formed once per solve, as G[F, F] x = (C^T d)[F], and
-takes the dual as G x - C^T d (Kim & Park, SIAM J. Sci. Comput. 33(6),
-2011).  With fewer rows than columns G is singular, so every step runs
-``lstsq`` on C[:, F] instead; so does every step after one whose Gram
-solution fails ``_free_step``'s accuracy test.  The result says which
-ran, and how many iterations it took.
+matrix G = C^T C as G[F, F] x = (C^T d)[F], and takes the dual as
+G x - C^T d (Kim & Park, SIAM J. Sci. Comput. 33(6), 2011).  G is formed
+once per solve, or once per matrix when the solves share a
+``GramMatrix``.  With fewer rows than columns G is singular, so every
+step runs ``lstsq`` on C[:, F] instead; so does every step after one
+whose Gram solution fails ``_free_step``'s accuracy test.  The result
+says which ran, and how many iterations it took.
 
 Fourier-Motzkin elimination projects a system of linear inequalities
 a . x >= b onto fewer variables by pairing every lower bound on the
@@ -73,28 +74,67 @@ def _free_step(C, d, G, ctd, free, tol):
     return np.linalg.lstsq(C[:, free], d, rcond=None)[0], None
 
 
+def _checked_matrix(C) -> np.ndarray:
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2:
+        raise InvalidArgumentError("need a 2-d matrix, got shape %s" % (C.shape,))
+    if not np.all(np.isfinite(C)):
+        raise InvalidArgumentError("matrix must be finite")
+    return C
+
+
+def _gram(C):
+    """G = C^T C, or None when C has fewer rows than columns (G singular)."""
+    return C.T @ C if C.shape[0] >= C.shape[1] else None
+
+
+class GramMatrix:
+    """A matrix C and its Gram matrix G = C^T C, both read-only, so that
+    ``nnls_solve`` calls on one C form G once.
+
+    G is always formed here from C, as ``nnls_solve`` forms it; C is
+    checked like ``nnls_solve``'s matrix and copied unless it is
+    read-only already.  ``gram`` is None when C has fewer rows than
+    columns.
+    """
+
+    def __init__(self, C):
+        C = _checked_matrix(C)
+        if C.flags.writeable:
+            C = C.copy()
+            C.flags.writeable = False
+        G = _gram(C)
+        if G is not None:
+            G.flags.writeable = False
+        self.matrix = C
+        self.gram = G
+
+
 def nnls_solve(C, d) -> NnlsResult:
     """Minimize ||C x - d|| subject to x >= 0 by block principal pivoting.
 
-    Returns the solution with x clamped exactly non-negative.  If the
-    iteration limit is hit, the iterate x (x = 0 included) with the
-    lowest ||C max(x, 0) - d|| is returned, clamped, with ``converged``
-    False rather than raising.
+    ``C`` is a matrix, or a ``GramMatrix`` whose G is used instead of
+    forming it again.  Returns the solution with x clamped exactly
+    non-negative.  If the iteration limit is hit, the iterate x (x = 0
+    included) with the lowest ||C max(x, 0) - d|| is returned, clamped,
+    with ``converged`` False rather than raising.
     """
-    C = np.asarray(C, dtype=float)
+    if isinstance(C, GramMatrix):
+        C, G = C.matrix, C.gram
+    else:
+        C = _checked_matrix(C)
+        G = _gram(C)
     d = np.asarray(d, dtype=float)
-    if C.ndim != 2 or d.ndim != 1 or C.shape[0] != d.shape[0]:
+    if d.ndim != 1 or C.shape[0] != d.shape[0]:
         raise InvalidArgumentError(
-            "need a 2-d matrix and matching vector, got %s and %s" % (C.shape, d.shape)
+            "need a vector matching the matrix's %d rows, got shape %s" % (C.shape[0], d.shape)
         )
-    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(d))):
-        raise InvalidArgumentError("matrix and data must be finite")
+    if not np.all(np.isfinite(d)):
+        raise InvalidArgumentError("data must be finite")
 
     n = C.shape[1]
     ctd = C.T @ d
     tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
-    # with fewer rows than columns G is singular: solve on C throughout
-    G = C.T @ C if C.shape[0] >= n else None
 
     free = np.zeros(n, dtype=bool)
     x = np.zeros(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactshape import ElastomerParams, grid_from_taxel_layout
+from contactshape import ElastomerParams, grid_from_taxel_layout, pipeline
 
 
 @pytest.fixture
@@ -30,3 +30,10 @@ def triangular_module_centers():
 @pytest.fixture
 def module_grid():
     return grid_from_taxel_layout(triangular_module_centers(), (0.004) ** 2)
+
+
+@pytest.fixture(autouse=True)
+def empty_memory_tier():
+    """Each test starts with no solve state held in memory, so one test's
+    entries cannot serve another's cache dir."""
+    pipeline.memory_tier.clear()

@@ -13,6 +13,7 @@ from contactshape import (
     TaxelReading,
     delta_c_from_thickness,
     load_grid,
+    pipeline,
     read_field,
     save_readings,
     solvers,
@@ -149,6 +150,33 @@ def test_nonneg_report_has_no_rank(grid_file, tmp_path, capsys):
     assert "rank" in report and report["rank"] is None
     assert report["converged"] and report["free_set_solver"] == "gram"
     assert ", %d iterations" % report["iterations"] in summary
+
+
+def test_report_carries_the_nnls_tolerance_and_contact_size(grid_file, tmp_path, capsys):
+    d_path = tmp_path / "d.dat"
+    assert main([
+        "synth", "--grid", str(grid_file), "--shape", "hemisphere",
+        "--diameter", "4e-3", "--center", "3e-3,3e-3", "--force", "1.0",
+        "--out", str(tmp_path / "q.dat"), "--displacements-out", str(d_path), "--model", "bc",
+    ]) == 0
+    rep_path, q_path = tmp_path / "rep.json", tmp_path / "rec.dat"
+    argv = [
+        "reconstruct", "--model", "bc", "--tract-grid", str(grid_file), "--disp-grid",
+        str(grid_file), "--displacements", str(d_path), "--out", str(q_path), "--report",
+        str(rep_path),
+    ]
+    assert run(argv + ["--constraint", "nonneg"], capsys)[0] == 0
+    report = json.loads(rep_path.read_text())
+    tract, disp = load_grid(grid_file, "traction"), load_grid(grid_file, "displacement")
+    C = contactshape.assemble("bc", tract, disp, ElastomerParams()).entries
+    res = solvers.nnls_solve(C, read_field(d_path, disp).values)
+    assert report["kkt_tolerance"] == res.kkt_tolerance > 0.0
+    q = read_field(q_path, tract).values
+    assert report["active_set_size"] == np.count_nonzero(q > 0.0) == np.count_nonzero(res.x > 0.0)
+    assert 0 < report["active_set_size"] < len(q)
+    assert run(argv, capsys)[0] == 0
+    report = json.loads(rep_path.read_text())
+    assert report["kkt_tolerance"] is None and report["active_set_size"] is None
 
 
 def test_nonneg_summary_says_when_the_solve_did_not_converge(grid_file, tmp_path, capsys, monkeypatch):
@@ -533,12 +561,16 @@ def test_reconstruct_summary_names_its_sources(grid_file, tmp_path, capsys):
         "--cache-dir", str(tmp_path / "cache"), "--report", str(tmp_path / "rep.json"),
     ]
     for sources in ("matrix assembled, inverse factorized", "matrix from cache, inverse from cache"):
+        pipeline.memory_tier.clear()  # each command runs in a new process
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert out.strip().endswith("(%s)" % sources)
     report = json.loads((tmp_path / "rep.json").read_text())
     assert report["matrix_source"] == report["inverse_source"] == "cache"
     assert set(report["timings_ms"]) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
+    code, out, _ = run(argv, capsys)  # a second command in the same process
+    assert out.strip().endswith("(matrix from memory, inverse from memory)")
+    pipeline.memory_tier.clear()
     code, out, _ = run(argv + ["--constraint", "nonneg"], capsys)
     assert out.strip().endswith("(matrix from cache)")
 

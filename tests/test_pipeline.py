@@ -17,6 +17,7 @@ from contactshape import (
     resample,
     synth_contact,
 )
+from contactshape import pipeline
 from contactshape.assembly import counters, reset_counters
 from contactshape.pipeline import ModelComparison
 
@@ -137,10 +138,12 @@ def test_reconstruct_report_dict(pad, params):
     assert set(d) == {
         "model", "constraint_mode", "psi_mode", "rank",
         "residual_norm", "converged", "iterations", "free_set_solver",
+        "kkt_tolerance", "active_set_size",
         "matrix_source", "inverse_source", "timings_ms",
     }
     assert d["matrix_source"] == "assembled" and d["inverse_source"] == "factorized"
     assert d["iterations"] is None and d["free_set_solver"] is None
+    assert d["kkt_tolerance"] is None and d["active_set_size"] is None
     assert set(d["timings_ms"]) == {"assembly_ms", "inversion_ms", "online_ms"}
 
 
@@ -180,11 +183,16 @@ def test_warm_reconstruct_is_uncached_bitwise(pad, params, tmp_path, model):
     assert set(cold.timings_ms) == {"assembly_ms", "inversion_ms", "online_ms"}
     assert len(list(tmp_path.glob("*.pinv"))) == 1
     reset_counters()
+    held = reconstruct(d, model, tract, disp, params, cache_dir=tmp_path)
+    assert counters() == {"assemblies": 0, "factorizations": 0}
+    assert (held.matrix_source, held.inverse_source) == ("memory", "memory")
+    assert set(held.timings_ms) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
+    pipeline.memory_tier.clear()  # as in a new process: the disk cache serves
     warm = reconstruct(d, model, tract, disp, params, cache_dir=tmp_path)
     assert counters() == {"assemblies": 0, "factorizations": 0}
     assert (warm.matrix_source, warm.inverse_source) == ("cache", "cache")
     assert set(warm.timings_ms) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
-    for got in (cold, warm):
+    for got in (cold, held, warm):
         assert got.tractions.values.tobytes() == want.tractions.values.tobytes()
         assert got.reconstructed_displacements.tobytes() == want.reconstructed_displacements.tobytes()
         assert got.residual_norm == want.residual_norm
@@ -198,6 +206,7 @@ def test_damaged_inverse_entry_is_refactorized(pad, params, tmp_path, caplog):
     (entry,) = tmp_path.glob("*.pinv")
     for content in (b"", entry.read_bytes()[:1000], b"garbage"):
         entry.write_bytes(content)
+        pipeline.memory_tier.clear()  # so the damaged entry is read
         reset_counters()
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -206,6 +215,7 @@ def test_damaged_inverse_entry_is_refactorized(pad, params, tmp_path, caplog):
         assert counters()["factorizations"] == 1 and got.inverse_source == "factorized"
         assert got.tractions.values.tobytes() == want.tractions.values.tobytes()
         # the re-factorized operator replaced the damaged entry
+        pipeline.memory_tier.clear()
         reset_counters()
         assert reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path).inverse_source == "cache"
         assert counters()["factorizations"] == 0
@@ -224,6 +234,7 @@ def test_nonneg_neither_reads_nor_writes_an_inverse(pad, params, tmp_path):
     reconstruct(d, "bc", tract, disp, params, cache_dir=tmp_path)
     (entry,) = tmp_path.glob("*.pinv")
     entry.write_bytes(b"garbage")
+    pipeline.memory_tier.clear()  # so C comes from the disk cache beside it
     again = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
     assert again.matrix_source == "cache" and again.inverse_source is None
     assert entry.read_bytes() == b"garbage"
