@@ -43,7 +43,7 @@ import numpy as np
 
 from . import boussinesq, love
 from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedModelError
-from .grid import FieldVector, Grid
+from .grid import Grid, field_values
 
 logger = logging.getLogger(__name__)
 
@@ -124,12 +124,11 @@ def assemble(
     _validate(model, psi_mode, params)
     h = params.nominal_thickness
     E = params.young_modulus
-    nu = params.poisson_ratio
     # kernel(x, y, a, b): the normal-normal coefficient of one pair
     if model == "bc":
         kernel = boussinesq.bc_zz_kernel(h, E, psi_mode)
     else:
-        kernel = lambda x, y, a, b: love.love_effective_zz(x, y, a, b, h, E, nu)
+        kernel = love.love_zz_kernel(h, E, params.poisson_ratio)
     tract = tract_grid.cells.tolist()
     disp = disp_grid.cells.tolist()
     entries = np.empty((len(disp), len(tract)))
@@ -167,27 +166,11 @@ def precompute_inverse(mat: InfluenceMatrix) -> InverseOperator:
 
 
 def apply_forward(mat: InfluenceMatrix, q) -> np.ndarray:
-    qv = q.values if isinstance(q, FieldVector) else np.asarray(q, dtype=float)
-    if qv.shape != (mat.entries.shape[1],):
-        raise InvalidArgumentError(
-            "traction vector length %d does not match matrix width %d"
-            % (len(qv), mat.entries.shape[1])
-        )
-    if not np.all(np.isfinite(qv)):
-        raise InvalidArgumentError("traction vector must be finite")
-    return mat.entries @ qv
+    return mat.entries @ field_values(q, mat.entries.shape[1], "traction vector")
 
 
 def apply_inverse(op: InverseOperator, d) -> np.ndarray:
-    dv = d.values if isinstance(d, FieldVector) else np.asarray(d, dtype=float)
-    if dv.shape != (op.pinv.shape[1],):
-        raise InvalidArgumentError(
-            "displacement vector length %d does not match matrix height %d"
-            % (len(dv), op.pinv.shape[1])
-        )
-    if not np.all(np.isfinite(dv)):
-        raise InvalidArgumentError("displacement vector must be finite")
-    return op.pinv @ dv
+    return op.pinv @ field_values(d, op.pinv.shape[1], "displacement vector")
 
 
 def _grid_digest(h, grid: Grid) -> None:

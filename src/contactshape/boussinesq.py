@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularPointError, UnsupportedModelError
+from .errors import check_finite, check_positive
 
 PSI_MODES = ("const", "exact")
 
@@ -43,19 +44,9 @@ PSI_CONST = 0.25
 _SUPPORTED_NU = 0.5
 
 
-def _check_finite(what: str, *values) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidArgumentError("%s must be finite, got %r" % (what, values))
-
-
-def _check_positive(what: str, value: float) -> None:
-    if not (0.0 < value < math.inf):
-        raise InvalidArgumentError("%s must be positive and finite, got %r" % (what, value))
-
-
 def _check_layer(h_c: float, young_modulus: float) -> None:
-    _check_positive("cover thickness", h_c)
-    _check_positive("young modulus", young_modulus)
+    check_positive("cover thickness", h_c)
+    check_positive("young modulus", young_modulus)
 
 
 def require_incompressible(nu: float) -> None:
@@ -115,9 +106,9 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     """
     x, y, z = (float(c) for c in offset)
     force = np.asarray(force, dtype=float)
-    _check_finite("offset", x, y, z)
-    _check_finite("force", *force.ravel().tolist())
-    _check_positive("young modulus", young_modulus)
+    check_finite("offset", x, y, z)
+    check_finite("force", *force.ravel().tolist())
+    check_positive("young modulus", young_modulus)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
     g = _green(x, y, z, young_modulus)
@@ -153,7 +144,7 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
     x = y = 0 are reported as +inf sentinels, also for offsets so small
     (below about 1e-103 m) that s^(3/2) underflows to zero.
     """
-    _check_finite("offset", x, y)
+    check_finite("offset", x, y)
     _check_layer(h_c, young_modulus)
     surface = _green(x, y, 0.0, young_modulus)
     if surface is None:
@@ -166,7 +157,7 @@ def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> 
 
 def spread_radius(cell_area: float) -> float:
     """Equivalent spreading scale z0 = sqrt(3 A / (2 pi)) of a cell."""
-    _check_positive("cell area", cell_area)
+    check_positive("cell area", cell_area)
     return _spread_radius(cell_area)
 
 
@@ -183,7 +174,7 @@ def bc_approx_coefficients(
     on-axis response; they couple each force component only to its own
     displacement component.
     """
-    _check_positive("cell area", cell_area)
+    check_positive("cell area", cell_area)
     _check_layer(h_c, young_modulus)
     return _approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
 
@@ -237,8 +228,8 @@ def bc_resolved_zz(
     psi_mode: str = "const",
 ) -> float:
     """Resolved normal-normal coefficient only (the usual sensing mode)."""
-    _check_finite("offset", x, y)
-    _check_positive("cell area", cell_area)
+    check_finite("offset", x, y)
+    check_positive("cell area", cell_area)
     _check_layer(h_c, young_modulus)
     return _resolved_zz(x, y, cell_area, h_c, young_modulus, psi_mode)
 

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types, and the argument checks that raise them, shared across the package.
 
 Every error carries a stable machine-readable ``category`` string so the
 command line tool can report failures in a scriptable way.
 """
+
+import math
+import numbers
 
 
 class ContactShapeError(Exception):
@@ -51,3 +54,23 @@ class OracleFailureError(ContactShapeError):
     """A verification oracle could not reach the requested accuracy."""
 
     category = "oracle-failure"
+
+
+def check_finite(what: str, *values) -> None:
+    """Each value must be a real number, not a bool, and finite; errors name ``what``."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise InvalidArgumentError("%s must be a finite number, got %r" % (what, v))
+
+
+def check_positive(what: str, value) -> None:
+    """``value`` must pass ``check_finite`` and be > 0."""
+    check_finite(what, value)
+    if not value > 0:
+        raise InvalidArgumentError("%s must be positive, got %r" % (what, value))
+
+
+def check_count(what: str, value) -> None:
+    """``value`` must be an integer, not a bool, and >= 0; errors name ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidArgumentError("%s must be a non-negative integer, got %r" % (what, value))

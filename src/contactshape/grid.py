@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_positive
 
 # Two cell centers closer than this are considered the same physical taxel.
 DUPLICATE_CENTER_TOL = 1e-9
@@ -144,8 +144,7 @@ def grid_from_taxel_layout(
     pts = np.asarray(centers, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise InvalidArgumentError("centers must be a non-empty (n, 2) array")
-    if not (cell_area > 0.0):
-        raise InvalidArgumentError("cell_area must be positive")
+    check_positive("cell_area", cell_area)
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("taxel centers must be finite")
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
@@ -209,6 +208,17 @@ class FieldVector:
             raise InvalidArgumentError(
                 "field of shape %s does not match grid of %d cells" % (vals.shape, n)
             )
+
+
+def field_values(v, n: int, what: str) -> np.ndarray:
+    """The values of ``v``, a FieldVector or an array, as n finite floats;
+    otherwise InvalidArgumentError naming ``what``."""
+    vals = v.values if isinstance(v, FieldVector) else np.asarray(v, dtype=float)
+    if vals.shape != (n,):
+        raise InvalidArgumentError("%s needs %d entries, got shape %s" % (what, n, vals.shape))
+    if not np.all(np.isfinite(vals)):
+        raise InvalidArgumentError("%s must be finite" % what)
+    return vals
 
 
 def write_field(fv: FieldVector, path) -> None:

@@ -37,6 +37,9 @@ the axes swapped, and ``_uz``), valid for every z >= 0; at z = 0 the
 terms carrying an explicit factor z are skipped rather than evaluated.
 The effective influence of a cell on a sensing node is that same form
 at the surface minus its value at depth h_c, per unit pressure.
+
+Every public function checks its numeric arguments; ``love_zz_kernel``
+hands assembly's per-pair loop the unchecked normal form.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OracleFailureError
+from .errors import InvalidArgumentError, OracleFailureError, check_finite, check_positive
 
 # A weight smaller than this fraction of the local length scale forces
 # its (removable-limit) term to zero.
@@ -65,30 +68,18 @@ def _add_sqrt(u: float, s: float) -> float:
     return s / (r - u)
 
 
-def _term_J(c: float, dy: float, z: float, scale: float) -> float:
-    beta = math.sqrt(c * c + z * z)
-    den = math.sqrt(c * c + dy * dy + z * z) + beta
+def _term(u: float, v: float, dy: float, scale: float) -> float:
+    """J and L of the module docstring in one antiderivative, z and c in
+    swapped roles: J(c, dy, z) is _term(z, |c|, dy), L(c, dy, z) is _term(c, z, dy)."""
+    den = math.sqrt(u * u + dy * dy + v * v) + math.sqrt(u * u + v * v)
     psi = dy / den if den > 0.0 else 0.0
     t = 0.0
     if abs(dy) > EDGE_WEIGHT_TOL * scale:
-        t += dy * (math.log(_add_sqrt(z, c * c + dy * dy)) - 1.0)
-    if z > EDGE_WEIGHT_TOL * scale:
-        t += z * math.log((1.0 + psi) / (1.0 - psi))
-    ac = abs(c)
-    t += 2.0 * ac * math.atan2(ac * psi, z + beta)
-    return t
-
-
-def _term_L(c: float, dy: float, z: float, scale: float) -> float:
-    den = math.sqrt(c * c + dy * dy + z * z) + math.sqrt(c * c + z * z)
-    psi = dy / den if den > 0.0 else 0.0
-    t = 0.0
-    if abs(dy) > EDGE_WEIGHT_TOL * scale:
-        t += dy * (math.log(_add_sqrt(c, dy * dy + z * z)) - 1.0)
-    if abs(c) > EDGE_WEIGHT_TOL * scale:
-        t += c * math.log((1.0 + psi) / (1.0 - psi))
-    if z != 0.0:
-        t += 2.0 * z * math.atan2(z * psi, _add_sqrt(c, z * z))
+        t += dy * (math.log(_add_sqrt(u, dy * dy + v * v)) - 1.0)
+    if abs(u) > EDGE_WEIGHT_TOL * scale:
+        t += u * math.log((1.0 + psi) / (1.0 - psi))
+    if v != 0.0:
+        t += 2.0 * v * math.atan2(v * psi, _add_sqrt(u, v * v))
     return t
 
 
@@ -104,7 +95,7 @@ def _ux(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -
     val_log = 0.0
     use_log = z > EDGE_WEIGHT_TOL * scale
     for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        val_j += sgn * (_term_J(c2, dy, z, scale) - _term_J(c1, dy, z, scale))
+        val_j += sgn * (_term(z, abs(c2), dy, scale) - _term(z, abs(c1), dy, scale))
         if use_log:
             num = _add_sqrt(dy, c2 * c2 + z * z)
             den = _add_sqrt(dy, c1 * c1 + z * z)
@@ -124,7 +115,7 @@ def _uz(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -
     val_l = 0.0
     val_arc = 0.0
     for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        val_l += sgn * (_term_L(c1, dy, z, scale) - _term_L(c2, dy, z, scale))
+        val_l += sgn * (_term(c1, z, dy, scale) - _term(c2, z, dy, scale))
         if z != 0.0:
             r1 = math.sqrt(c1 * c1 + dy * dy + z * z)
             r2 = math.sqrt(c2 * c2 + dy * dy + z * z)
@@ -136,13 +127,14 @@ def _uz(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -
 
 
 def _check_cell_point(cell, pt) -> tuple[float, float, float, float, float]:
-    a, b = (float(v) for v in cell)
-    x, y, z = (float(v) for v in pt)
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidArgumentError("cell half-extents must be positive")
+    a, b = cell
+    x, y, z = pt
+    check_positive("cell half-extent", a)
+    check_positive("cell half-extent", b)
+    check_finite("point", x, y, z)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
-    return a, b, x, y, z
+    return float(a), float(b), float(x), float(y), float(z)
 
 
 def love_displacement(p: float, cell, pt, params) -> np.ndarray:
@@ -155,6 +147,7 @@ def love_displacement(p: float, cell, pt, params) -> np.ndarray:
     pt : evaluation point (x, y, z) with z >= 0, m.
     params : ElastomerParams; only young_modulus and poisson_ratio enter.
     """
+    check_finite("pressure", p)
     a, b, x, y, z = _check_cell_point(cell, pt)
     E = params.young_modulus
     nu = params.poisson_ratio
@@ -171,8 +164,7 @@ def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray
     surface minus its value at depth h_c.
     """
     a, b, x, y, _ = _check_cell_point(half_extents, (delta[0], delta[1], 0.0))
-    if not (h_c > 0.0):
-        raise InvalidArgumentError("cover thickness must be positive, got %r" % h_c)
+    check_positive("cover thickness", h_c)
     E = params.young_modulus
     nu = params.poisson_ratio
     cx = _ux(a, b, x, y, 0.0, E, nu) - _ux(a, b, x, y, h_c, E, nu)
@@ -186,11 +178,21 @@ def love_effective_zz(
     """Normal effective displacement per unit pressure on one cell.
 
     The z entry of ``love_effective_column`` for the offset (x, y) and
-    half-extents (a, b).  Nothing is checked here: callers pass a > 0,
-    b > 0 and h_c > 0, as validated cells and parameters guarantee.
+    half-extents (a, b).
     """
+    a, b, x, y, _ = _check_cell_point((a, b), (x, y, 0.0))
+    return love_zz_kernel(h_c, young_modulus, poisson_ratio)(x, y, a, b)
+
+
+def love_zz_kernel(h_c: float, young_modulus: float, poisson_ratio: float):
+    """``love_effective_zz`` as kernel(x, y, a, b), which checks nothing:
+    h_c and the material constants are checked here, once, and assembly
+    feeds it a validated grid's finite offsets and positive half-extents."""
+    check_positive("cover thickness", h_c)
+    check_positive("young modulus", young_modulus)
+    check_finite("poisson ratio", poisson_ratio)
     E, nu = young_modulus, poisson_ratio
-    return _uz(a, b, x, y, 0.0, E, nu) - _uz(a, b, x, y, h_c, E, nu)
+    return lambda x, y, a, b: _uz(a, b, x, y, 0.0, E, nu) - _uz(a, b, x, y, h_c, E, nu)
 
 
 def _quad1(g, lo, hi, tol, breakpoints=None):
@@ -277,6 +279,8 @@ def love_potential_oracle(p: float, cell, pt, which: str, rel_tol: float = 1e-9)
     potential).  The log potential needs z + r > 0, so its evaluation
     floors z at 1e-9 m; V is integrable down to z = 0.
     """
+    check_finite("pressure", p)
+    check_positive("relative tolerance", rel_tol)
     a, b, x, y, z = _check_cell_point(cell, pt)
     if which == "chi":
         z = max(z, ORACLE_Z_FLOOR)

@@ -13,13 +13,13 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import assembly, solvers
-from .errors import InvalidArgumentError
-from .grid import FieldVector, Grid, build_regular_grid
+from .errors import InvalidArgumentError, check_count, check_finite, check_positive
+from .grid import FieldVector, Grid, build_regular_grid, field_values
 from .sensor import ElastomerParams
 
 INDENTER_SHAPES = ("hemisphere", "cylinder")
@@ -51,9 +51,10 @@ class IndenterSpec:
             raise InvalidArgumentError(
                 "indenter shape must be one of %s, got %r" % (INDENTER_SHAPES, self.shape)
             )
-        if not (self.diameter > 0.0):
-            raise InvalidArgumentError("indenter diameter must be positive")
-        if not (0.0 < self.force <= MAX_FORCE):
+        check_positive("indenter diameter", self.diameter)
+        check_finite("indenter center", *self.center)
+        check_positive("force", self.force)
+        if self.force > MAX_FORCE:
             raise InvalidArgumentError(
                 "force must lie in (0, %g] N, got %r" % (MAX_FORCE, self.force)
             )
@@ -128,21 +129,10 @@ class SolveReport:
     active_set_size: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "constraint_mode": self.constraint_mode,
-            "psi_mode": self.psi_mode,
-            "rank": self.rank,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "free_set_solver": self.free_set_solver,
-            "kkt_tolerance": self.kkt_tolerance,
-            "active_set_size": self.active_set_size,
-            "matrix_source": self.matrix_source,
-            "inverse_source": self.inverse_source,
-            "timings_ms": dict(self.timings_ms),
-        }
+        """Every field but tractions and reconstructed_displacements; timings_ms is a copy."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["tractions"], out["reconstructed_displacements"]
+        return dict(out, timings_ms=dict(self.timings_ms))
 
 
 class MemoryTier:
@@ -271,16 +261,7 @@ def reconstruct(
         raise InvalidArgumentError(
             "constraint must be one of %s, got %r" % (CONSTRAINT_MODES, constraint)
         )
-    dv = displacements.values if isinstance(displacements, FieldVector) else np.asarray(
-        displacements, dtype=float
-    )
-    if dv.shape != (len(disp_grid),):
-        raise InvalidArgumentError(
-            "displacement vector of shape %s does not match %d sensing nodes"
-            % (dv.shape, len(disp_grid))
-        )
-    if not np.all(np.isfinite(dv)):
-        raise InvalidArgumentError("displacement vector must be finite")
+    dv = field_values(displacements, len(disp_grid), "displacement vector")
     key, mat, mat_source, seconds = _obtain_matrix(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
     )
@@ -405,20 +386,18 @@ def compare_models(
     range.
     """
     a, b = half_extents
-    if not math.isfinite(pressure):
-        raise InvalidArgumentError("pressure must be finite, got %r" % pressure)
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise InvalidArgumentError(
-            "cell half-extents must be positive and finite, got %r" % ((a, b),)
-        )
+    check_finite("pressure", pressure)
+    check_positive("cell half-extent", a)
+    check_positive("cell half-extent", b)
+    check_count("n_samples", n_samples)
     if n_samples < 3:
         raise InvalidArgumentError("need at least 3 samples")
     if n_samples % 2 == 0:
         n_samples += 1  # keep a sample exactly at x = 0
     if x_max is None:
         x_max = 6.0 * max(a, b)
-    elif not (0.0 < x_max < math.inf):
-        raise InvalidArgumentError("sample half-width must be positive and finite, got %r" % x_max)
+    else:
+        check_positive("sample half-width", x_max)
     xs = np.linspace(-x_max, x_max, n_samples)
     cell = Grid(np.array([[0.0, 0.0, a, b]]))
     zeros = np.zeros_like(xs)

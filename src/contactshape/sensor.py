@@ -12,13 +12,11 @@ delta_z = h_n - h_c used by the elastic models.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidReadingError
+from .errors import InvalidArgumentError, InvalidReadingError, check_finite, check_positive
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
@@ -43,21 +41,12 @@ class ElastomerParams:
     taxel_area: float = 5e-5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise InvalidArgumentError("%s must be a finite number, got %r" % (f.name, value))
-        if not (self.young_modulus > 0.0):
-            raise InvalidArgumentError("Young modulus must be positive")
+        check_finite("poisson_ratio", self.poisson_ratio)
         if not (-1.0 < self.poisson_ratio <= 0.5):
             raise InvalidArgumentError("Poisson ratio must lie in (-1, 0.5]")
-        if not (self.nominal_thickness > 0.0):
-            raise InvalidArgumentError("nominal thickness must be positive")
-        if not (self.permittivity_vacuum > 0.0 and self.permittivity_relative > 0.0):
-            raise InvalidArgumentError("permittivities must be positive")
-        if not (self.taxel_area > 0.0):
-            raise InvalidArgumentError("taxel area must be positive")
+        for f in fields(self):
+            if f.name != "poisson_ratio":
+                check_positive(f.name, getattr(self, f.name))
 
     @property
     def capacitance_scale(self) -> float:

@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, check_count
+from .grid import field_values
 
 # KKT tolerance relative to ||C^T d||_inf, the iteration limit, and the
 # number of non-improving full swaps before single pivoting takes over
@@ -124,13 +125,7 @@ def nnls_solve(C, d) -> NnlsResult:
     else:
         C = _checked_matrix(C)
         G = _gram(C)
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or C.shape[0] != d.shape[0]:
-        raise InvalidArgumentError(
-            "need a vector matching the matrix's %d rows, got shape %s" % (C.shape[0], d.shape)
-        )
-    if not np.all(np.isfinite(d)):
-        raise InvalidArgumentError("data must be finite")
+    d = field_values(d, C.shape[0], "data vector")
 
     n = C.shape[1]
     ctd = C.T @ d
@@ -347,8 +342,8 @@ def fme_worst_case_count(n: int, p: int):
     where this gives 256), so ``fme-demo`` iterates the one-step bound
     instead.
     """
-    if n < 0 or p < 0:
-        raise InvalidArgumentError("row and step counts must be non-negative")
+    check_count("row count", n)
+    check_count("step count", p)
     if p == 0:
         return n
     v = Fraction(4 * n ** (2 * p), 4 ** (2 * p))

@@ -307,6 +307,7 @@ def test_criterion_08_fme_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_quadratic_scaling(params):
     t0 = time.perf_counter()
     res = benchmark(sizes=(25, 100, 400, 1600), repetitions=3, params=params)
