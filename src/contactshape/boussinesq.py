@@ -104,9 +104,11 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     The load point raises SingularPointError, and so does any offset so
     small (below about 1e-103 m) that rho^3 underflows to zero.
     """
+    if len(offset) != 3:
+        raise InvalidArgumentError("offset needs 3 entries, got %r" % (offset,))
+    check_finite("offset", *offset)
     x, y, z = (float(c) for c in offset)
     force = np.asarray(force, dtype=float)
-    check_finite("offset", x, y, z)
     check_finite("force", *force.ravel().tolist())
     check_positive("young modulus", young_modulus)
     if z < 0.0:

@@ -30,10 +30,10 @@ logger = logging.getLogger(__name__)
 def _load_params(path) -> ElastomerParams:
     if path is None:
         return ElastomerParams()
-    try:
-        with open(path) as fh:
+    try:  # a file that cannot be read raises OSError, which main reports as io
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # not UTF-8 text, or not JSON
         raise InvalidArgumentError("cannot read params file %s: %s" % (path, exc)) from exc
     if not isinstance(data, dict):
         raise InvalidArgumentError(
@@ -41,9 +41,7 @@ def _load_params(path) -> ElastomerParams:
         )
     unknown = set(data) - {f.name for f in dataclasses.fields(ElastomerParams)}
     if unknown:
-        raise InvalidArgumentError(
-            "params file %s: unknown keys %s" % (path, sorted(unknown))
-        )
+        raise InvalidArgumentError("params file %s: unknown keys %s" % (path, sorted(unknown)))
     return ElastomerParams(**data)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_positive
+from .errors import InvalidArgumentError, check_count, check_positive
 
 # Two cell centers closer than this are considered the same physical taxel.
 DUPLICATE_CENTER_TOL = 1e-9
@@ -94,10 +94,10 @@ def build_regular_grid(
     Cell (i, j) has its center at origin + ((i + 1/2) dx, (j + 1/2) dy)
     and half-extents (dx/2, dy/2).
     """
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError("grid dimensions must be at least 1x1")
-    if not (dx > 0.0 and dy > 0.0):
-        raise InvalidArgumentError("cell pitch must be positive")
+    check_count("nx", nx)  # a zero count leaves no cells, which Grid refuses
+    check_count("ny", ny)
+    check_positive("cell pitch dx", dx)
+    check_positive("cell pitch dy", dy)
     x, y = np.meshgrid(
         float(origin[0]) + (np.arange(nx) + 0.5) * dx,
         float(origin[1]) + (np.arange(ny) + 0.5) * dy,
@@ -167,28 +167,47 @@ def save_grid(grid: Grid, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_grid(path, kind: str = "traction") -> Grid:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != GRID_HEADER:
-        raise InvalidArgumentError("grid file %s: missing header %r" % (path, GRID_HEADER))
-    rows = []
-    for ln in raw[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise InvalidArgumentError("grid file %s: bad record %r" % (path, ln))
-        try:
-            idx = int(parts[0])
-            row = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise InvalidArgumentError("grid file %s: bad record %r" % (path, ln)) from exc
-        if idx != len(rows):
-            raise InvalidArgumentError(
-                "grid file %s: record index %d out of order" % (path, idx)
-            )
-        rows.append(row)
+def read_records(path, what: str, header, sep, widths, parse) -> list:
+    """``parse(fields)`` for each record of the ``what`` text file at ``path``.
+
+    A record is a non-blank line, stripped and split by ``sep`` (None:
+    runs of whitespace).  With a ``header``, the first non-blank line
+    must be it and the records follow it.  A file that cannot be read
+    raises OSError.  Bytes that are not UTF-8 text, a missing header, a
+    record whose field count is not in ``widths`` and a record ``parse``
+    cannot convert (ValueError) raise InvalidArgumentError naming the
+    file; a ContactShapeError from ``parse`` passes through unchanged.
+    """
     try:
-        return Grid(np.array(rows), kind)
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError("%s file %s: not text (%s)" % (what, path, exc)) from exc
+    if header is not None:
+        if not lines or lines[0] != header:
+            raise InvalidArgumentError("%s file %s: missing header %r" % (what, path, header))
+        lines = lines[1:]
+    out = []
+    for ln in lines:
+        fields = ln.split(sep)
+        try:
+            if len(fields) not in widths:
+                raise ValueError("%d fields" % len(fields))
+            out.append(parse(fields))
+        except ValueError as exc:
+            raise InvalidArgumentError("%s file %s: bad record %r" % (what, path, ln)) from exc
+    return out
+
+
+def load_grid(path, kind: str = "traction") -> Grid:
+    records = read_records(
+        path, "grid", GRID_HEADER, ",", (5,), lambda f: (int(f[0]), [float(v) for v in f[1:]])
+    )
+    for i, (idx, _) in enumerate(records):
+        if idx != i:
+            raise InvalidArgumentError("grid file %s: record index %d out of order" % (path, idx))
+    try:
+        return Grid(np.array([row for _, row in records]), kind)
     except InvalidArgumentError as exc:
         raise InvalidArgumentError("grid file %s: %s" % (path, exc)) from exc
 
@@ -240,19 +259,9 @@ def write_field(fv: FieldVector, path) -> None:
 
 def read_field(path, grid: Grid) -> FieldVector:
     """Read a plot-data file back; record order must match the grid."""
-    vals = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) != 3:
-                raise InvalidArgumentError("field file %s: bad record %r" % (path, ln))
-            vals.append(float(parts[2]))
+    vals = read_records(path, "field", None, None, (3,), lambda f: float(f[2]))
     if len(vals) != len(grid):
         raise InvalidArgumentError(
-            "field file %s has %d records for a grid of %d cells"
-            % (path, len(vals), len(grid))
+            "field file %s has %d records for a grid of %d cells" % (path, len(vals), len(grid))
         )
     return FieldVector(np.array(vals), grid)

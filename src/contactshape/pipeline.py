@@ -52,6 +52,8 @@ class IndenterSpec:
                 "indenter shape must be one of %s, got %r" % (INDENTER_SHAPES, self.shape)
             )
         check_positive("indenter diameter", self.diameter)
+        if len(self.center) != 2:
+            raise InvalidArgumentError("indenter center needs 2 entries, got %r" % (self.center,))
         check_finite("indenter center", *self.center)
         check_positive("force", self.force)
         if self.force > MAX_FORCE:
@@ -446,6 +448,7 @@ def benchmark(
     least-squares slope of log(time) against log(cells), so at least two
     distinct sizes are needed.
     """
+    check_count("repetitions", repetitions)
     if repetitions < 1:
         raise InvalidArgumentError("repetitions must be positive")
     if len(set(sizes)) < 2:
@@ -453,7 +456,8 @@ def benchmark(
     params = params or ElastomerParams()
     grids = []
     for n in sizes:
-        side = math.isqrt(max(n, 0))
+        check_count("benchmark size", n)
+        side = math.isqrt(n)
         if n < 1 or side * side != n:
             raise InvalidArgumentError("benchmark sizes must be positive perfect squares, got %d" % n)
         g = build_regular_grid((0.0, 0.0), side, side, BENCHMARK_PITCH, BENCHMARK_PITCH)

@@ -12,11 +12,14 @@ delta_z = h_n - h_c used by the elastic models.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidReadingError, check_finite, check_positive
+from .errors import InvalidArgumentError, InvalidReadingError
+from .errors import check_count, check_finite, check_positive
+from .grid import read_records
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
@@ -63,31 +66,31 @@ class TaxelReading:
     timestamp: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "taxel_index", int(self.taxel_index))
-        object.__setattr__(self, "delta_c", float(self.delta_c))
+        check_count("taxel index", self.taxel_index)
+        dc = self.delta_c
+        if isinstance(dc, bool) or not isinstance(dc, numbers.Real):
+            raise InvalidArgumentError("capacitance change must be a number, got %r" % (dc,))
         if self.timestamp is not None:
+            check_finite("timestamp", self.timestamp)
             object.__setattr__(self, "timestamp", float(self.timestamp))
-        if self.taxel_index < 0:
-            raise InvalidArgumentError("taxel index must be non-negative")
+        object.__setattr__(self, "taxel_index", int(self.taxel_index))
+        object.__setattr__(self, "delta_c", float(dc))
         if not np.isfinite(self.delta_c):
             raise InvalidReadingError(
-                "taxel %d: capacitance change %r is not finite"
-                % (self.taxel_index, self.delta_c)
+                "taxel %d: capacitance change %r is not finite" % (self.taxel_index, self.delta_c)
             )
         if self.delta_c < 0.0:
             raise InvalidReadingError(
-                "taxel %d: negative capacitance change %g F"
-                % (self.taxel_index, self.delta_c)
+                "taxel %d: negative capacitance change %g F" % (self.taxel_index, self.delta_c)
             )
 
 
 def delta_c_from_thickness(h_c: float, params: ElastomerParams) -> float:
     """Forward taxel model: compressed thickness to capacitance change."""
+    check_finite("compressed thickness", h_c)
     h_n = params.nominal_thickness
     if not (0.0 < h_c <= h_n):
-        raise InvalidArgumentError(
-            "compressed thickness must lie in (0, h_n], got %r" % h_c
-        )
+        raise InvalidArgumentError("compressed thickness must lie in (0, h_n], got %r" % h_c)
     return params.capacitance_scale * (h_n - h_c) / (h_c * h_n)
 
 
@@ -115,6 +118,7 @@ def readings_to_displacements(readings, n_taxels: int, params: ElastomerParams) 
     Each entry is ``reading_to_displacement`` of its reading, bit for bit:
     the same IEEE operations in the same order, applied to all at once.
     """
+    check_count("n_taxels", n_taxels)
     readings = list(readings)  # any iterable; read twice below
     keys = [r.taxel_index for r in readings]
     try:
@@ -153,28 +157,10 @@ def load_readings(path, tolerant: bool = False) -> list[TaxelReading]:
     Negative capacitance changes are rejected; with ``tolerant`` they are
     clamped to zero instead (drift around the resting capacitance).
     """
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or raw[0] != READINGS_HEADER:
-        raise InvalidArgumentError(
-            "readings file %s: missing header %r" % (path, READINGS_HEADER)
-        )
-    out = []
-    for ln in raw[1:]:
-        parts = ln.split(",")
-        if len(parts) not in (2, 3):
-            raise InvalidArgumentError("readings file %s: bad record %r" % (path, ln))
-        try:
-            idx = int(parts[0])
-            dc = float(parts[1])
-            ts = None
-            if len(parts) == 3 and parts[2]:
-                ts = float(parts[2])
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                "readings file %s: bad record %r" % (path, ln)
-            ) from exc
-        if dc < 0.0 and tolerant:
-            dc = 0.0
-        out.append(TaxelReading(idx, dc, ts))
-    return out
+
+    def parse(f):
+        dc = float(f[1])
+        ts = float(f[2]) if len(f) == 3 and f[2] else None
+        return TaxelReading(int(f[0]), 0.0 if dc < 0.0 and tolerant else dc, ts)
+
+    return read_records(path, "readings", READINGS_HEADER, ",", (2, 3), parse)

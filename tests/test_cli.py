@@ -611,3 +611,45 @@ def test_file_errors_are_one_io_line(grid_file, tmp_path, capsys, monkeypatch, c
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: io:"), err
+
+
+NOT_TEXT = b"\xff\xfe" + "index\n".encode("utf-16-le")  # a UTF-16 file, not UTF-8 text
+
+
+@pytest.mark.parametrize("bad", ["--disp-grid", "--readings", "--displacements"])
+def test_a_file_that_is_not_text_is_one_error_line(grid_file, tmp_path, capsys, bad):
+    (tmp_path / "not-text").write_bytes(NOT_TEXT)
+    (tmp_path / "r.csv").write_text("taxel_index,delta_c_F,timestamp_s\n0,1e-14,\n")
+    (tmp_path / "d.dat").write_text("".join("0 0 1e-6\n" for _ in range(9)))
+    argv = ["reconstruct", "--model", "bc", "--tract-grid", str(grid_file),
+            "--disp-grid", str(grid_file)]
+    source = "--readings" if bad == "--readings" else "--displacements"
+    argv += [source, str(tmp_path / {"--readings": "r.csv", "--displacements": "d.dat"}[source])]
+    code, out, err = run(argv + [bad, str(tmp_path / "not-text")], capsys)  # the last value counts
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert "not text" in err and "not-text" in err
+
+
+def test_a_field_record_that_is_not_a_number_is_one_error_line(grid_file, tmp_path, capsys):
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e-6\n" for _ in range(8)) + "0 0 abc\n")
+    code, out, err = run(
+        ["reconstruct", "--model", "bc", "--tract-grid", str(grid_file),
+         "--disp-grid", str(grid_file), "--displacements", str(d_path)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    single_error_line(err)
+    assert "field file" in err and "bad record '0 0 abc'" in err
+
+
+def test_a_missing_params_file_is_one_io_line(grid_file, tmp_path, capsys):
+    code, out, err = run(
+        ["assemble", "--model", "bc", "--params", str(tmp_path / "absent.json"),
+         "--tract-grid", str(grid_file), "--disp-grid", str(grid_file)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: io:") and "absent.json" in err, err

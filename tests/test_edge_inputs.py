@@ -21,14 +21,17 @@ from contactshape import (
     InvalidArgumentError,
     apply_forward,
     apply_inverse,
+    TaxelReading,
     assemble,
     bc_approx_coefficients,
     bc_effective_block,
     bc_point_displacement,
     bc_resolved_block,
     bc_resolved_zz,
+    benchmark,
     build_regular_grid,
     compare_models,
+    delta_c_from_thickness,
     fme_worst_case_count,
     grid_from_taxel_layout,
     love_displacement,
@@ -38,6 +41,7 @@ from contactshape import (
     nnls_solve,
     precompute_inverse,
     psi,
+    readings_to_displacements,
     reconstruct,
     spread_radius,
 )
@@ -80,6 +84,11 @@ CASES = {
     "reconstruct_free": (reconstruct, (VEC, "bc", TRACT, DISP, PARAMS, "free")),
     "reconstruct_nonneg": (reconstruct, (VEC, "bc", TRACT, DISP, PARAMS, "nonneg")),
     "fme_worst_case_count": (fme_worst_case_count, (8, 2)),
+    "build_regular_grid": (build_regular_grid, ((0.0, 0.0), 2, 3, 1e-3, 2e-3)),
+    "TaxelReading": (TaxelReading, (3, 1e-14, 0.5)),
+    "delta_c_from_thickness": (delta_c_from_thickness, (1.5e-3, PARAMS)),
+    "readings_to_displacements": (readings_to_displacements, ([TaxelReading(1, 1e-14)], 4, PARAMS)),
+    "benchmark": (benchmark, (("bc", "love"), (1, 4), 1, PARAMS)),
 }
 
 
@@ -140,3 +149,37 @@ def test_edge_inputs_give_a_finite_value_or_an_error(name):
 def test_fme_worst_case_count_needs_integer_counts(n, p):
     with pytest.raises(InvalidArgumentError):
         fme_worst_case_count(n, p)
+
+
+# Arguments that are numbers of the wrong kind, or tuples of the wrong
+# length: each call must raise InvalidArgumentError.
+WRONG_KIND = {
+    "build_regular_grid nx=2.5": (build_regular_grid, ((0.0, 0.0), 2.5, 2, 1e-3, 1e-3)),
+    "build_regular_grid ny='2'": (build_regular_grid, ((0.0, 0.0), 2, "2", 1e-3, 1e-3)),
+    "IndenterSpec 3-entry center": (IndenterSpec, ("hemisphere", 6e-3, (0.0, 0.0, 0.0), 1.0)),
+    "IndenterSpec 1-entry center": (IndenterSpec, ("hemisphere", 6e-3, (0.0,), 1.0)),
+    "bc_point_displacement bool offset": (
+        bc_point_displacement, ((0.0, 0.0, 1.0), (True, 0.0, 1e-3), E)
+    ),
+    "bc_point_displacement str offset": (
+        bc_point_displacement, ((0.0, 0.0, 1.0), ("1e-3", 0.0, 1e-3), E)
+    ),
+    "bc_point_displacement 2-entry offset": (
+        bc_point_displacement, ((0.0, 0.0, 1.0), (1e-3, 0.0), E)
+    ),
+    "TaxelReading index 1.5": (TaxelReading, (1.5, 1e-14)),
+    "TaxelReading index '3'": (TaxelReading, ("3", 1e-14)),
+    "TaxelReading delta_c True": (TaxelReading, (0, True)),
+    "TaxelReading timestamp 'abc'": (TaxelReading, (0, 1e-14, "abc")),
+    "readings_to_displacements n_taxels 4.0": (readings_to_displacements, ([], 4.0, PARAMS)),
+    "benchmark repetitions 4.0": (benchmark, (("bc",), (1, 4), 4.0, PARAMS)),
+    "benchmark size 4.0": (benchmark, (("bc",), (1, 4.0), 1, PARAMS)),
+    "delta_c_from_thickness '1e-3'": (delta_c_from_thickness, ("1e-3", PARAMS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KIND))
+def test_arguments_of_the_wrong_kind_raise_invalid_argument(name):
+    fn, args = WRONG_KIND[name]
+    with pytest.raises(InvalidArgumentError):
+        fn(*args)

@@ -7,13 +7,16 @@ from contactshape import (
     FieldVector,
     Grid,
     InvalidArgumentError,
+    InvalidReadingError,
     build_regular_grid,
     grid_from_taxel_layout,
     load_grid,
+    load_readings,
     read_field,
     save_grid,
     write_field,
 )
+from contactshape.grid import read_records
 
 HEADER = "index,center_x_m,center_y_m,half_extent_a_m,half_extent_b_m\n"
 
@@ -173,3 +176,49 @@ def test_field_file_count_mismatch(tmp_path):
     bigger = build_regular_grid((0, 0), 3, 2, 1e-3, 1e-3)
     with pytest.raises(InvalidArgumentError):
         read_field(path, bigger)
+
+
+def test_read_records_splits_the_records_after_the_header(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_text("\n h \n 1;2 \n\n3; 4\n")
+    assert read_records(p, "test", "h", ";", (2,), lambda f: [int(v) for v in f]) == [[1, 2], [3, 4]]
+    assert read_records(p, "test", None, None, (1, 2), list) == [["h"], ["1;2"], ["3;", "4"]]
+
+
+def test_read_records_error_policy(tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_text("h\n1;2\n")
+    with pytest.raises(InvalidArgumentError, match=r"^test file .*f\.txt: missing header 'x'$"):
+        read_records(p, "test", "x", ";", (2,), list)
+    with pytest.raises(InvalidArgumentError, match=r"^test file .*: bad record '1;2'$"):
+        read_records(p, "test", "h", ";", (3,), list)
+    with pytest.raises(InvalidArgumentError, match=r"^test file .*: bad record '1;2'$"):
+        read_records(p, "test", "h", ";", (2,), lambda f: float(f[0] + "x"))
+
+    def refuse(fields):
+        raise InvalidReadingError("refused")
+
+    with pytest.raises(InvalidReadingError, match="^refused$"):
+        read_records(p, "test", "h", ";", (2,), refuse)
+    p.write_bytes(b"\xff\xfeh\x00\n\x00")
+    with pytest.raises(InvalidArgumentError, match=r"^test file .*f\.txt: not text"):
+        read_records(p, "test", "h", ";", (2,), list)
+    with pytest.raises(FileNotFoundError):
+        read_records(tmp_path / "absent.txt", "test", "h", ";", (2,), list)
+
+
+def test_readers_refuse_a_file_that_is_not_text(tmp_path):
+    p = tmp_path / "utf16.txt"
+    p.write_bytes(b"\xff\xfe" + HEADER.encode("utf-16-le"))
+    g = build_regular_grid((0, 0), 2, 2, 1e-3, 1e-3)
+    for read, what in ((load_grid, "grid"), (lambda q: read_field(q, g), "field"),
+                       (load_readings, "readings")):
+        with pytest.raises(InvalidArgumentError, match="^%s file .*: not text" % what):
+            read(p)
+
+
+def test_read_field_refuses_a_value_that_is_not_a_number(tmp_path):
+    p = tmp_path / "f.dat"
+    p.write_text("0 0 1.0\n0 0 abc\n")
+    with pytest.raises(InvalidArgumentError, match=r"^field file .*: bad record '0 0 abc'$"):
+        read_field(p, build_regular_grid((0, 0), 2, 1, 1e-3, 1e-3))

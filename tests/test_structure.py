@@ -79,3 +79,39 @@ def test_import_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
     )
     assert out.stdout.strip() == "[]"
+
+
+def _reads(call) -> bool:
+    """Whether an ``open`` call opens for reading: no mode, a mode that
+    contains "r", or a mode that is not a literal."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    return mode is None or not isinstance(mode, ast.Constant) or "r" in str(mode.value)
+
+
+def reading_opens(package_dir=PACKAGE_DIR):
+    """``module.function`` for every ``open`` call that reads a file, named
+    by its innermost enclosing function (``module.<module>`` outside one)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, "%s.%s" % (where.split(".")[0], child.name))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name == "open" and _reads(child):
+                    found.append(where)
+            visit(child, where)
+
+    for path in sorted(package_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "%s.<module>" % path.stem)
+    return found
+
+
+def test_every_input_file_is_read_by_one_of_the_readers():
+    """Text inputs go through ``grid.read_records`` (one line, header and
+    error policy for every format); the cache reader and the JSON params
+    file are the only other files opened for reading."""
+    assert set(reading_opens()) == {"grid.read_records", "assembly._read_entry", "cli._load_params"}
