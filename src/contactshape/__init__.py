@@ -76,14 +76,13 @@ from .sensor import (
     save_readings,
     thickness_from_reading,
 )
-from .solvers import (
+from .fme import (
     InequalitySystem,
-    NnlsResult,
     fme_eliminate,
     fme_eliminate_all,
     fme_feasible,
     fme_worst_case_count,
-    nnls_solve,
 )
+from .solvers import NnlsResult, nnls_solve
 
 __version__ = "0.1.0"

@@ -21,11 +21,12 @@ once whole.  ``<key>.npy`` is C as plain NumPy, keyed by the model, psi
 mode, material constants and the bytes of both grids' cell arrays.
 ``<key>.pinv`` is the pseudo-inverse, then the singular values, keyed by
 C's key plus the SVD cutoff, so a warm cache factorizes nothing.  An
-entry of the wrong shape or dtype is a miss.  A cache written when each
-``.npy`` had a JSON header beside it still hits; versions that wrote the
-header re-assemble entries written without one.  ``bc`` entries written
-when its columns were per unit force have other keys, so they are
-re-assembled, never read as pressures.
+entry of the wrong shape or dtype, or holding a NaN or inf, is a miss.
+A cache written when each ``.npy`` had a JSON header beside it still
+hits; versions that wrote the header re-assemble entries written
+without one.  ``bc`` entries written when its columns were per unit
+force have other keys, so they are re-assembled, never read as
+pressures.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ def _write_entry(cache_dir, key: str, suffix: str, arrays) -> str:
 def _read_entry(cache_dir, key: str, suffix: str, shapes, fallback: str) -> list | None:
     """The float64 arrays of ``shapes`` stored in ``<key><suffix>``, or None.
 
-    An absent entry is a plain miss.  An unreadable one, or one whose
+    An absent entry is a plain miss.  An unreadable one, one whose
     arrays differ from ``shapes`` in shape or dtype (damaged, or written
-    by something else), is a miss with a warning naming ``fallback``.
+    by something else), or one holding a NaN or inf, is a miss with a
+    warning naming ``fallback``.
     """
     try:
         with open(os.path.join(cache_dir, key + suffix), "rb") as fh:
@@ -279,6 +281,9 @@ def _read_entry(cache_dir, key: str, suffix: str, shapes, fallback: str) -> list
     for a, shape in zip(arrays, shapes):
         if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape):
             logger.warning("cache entry %s%s does not match its request; %s", key, suffix, fallback)
+            return None
+        if not np.all(np.isfinite(a)):
+            logger.warning("cache entry %s%s holds non-finite values; %s", key, suffix, fallback)
             return None
     return arrays
 

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularPointError, UnsupportedModelError
-from .errors import check_finite, check_positive
+from .errors import check_entries, check_finite, check_positive
 
 PSI_MODES = ("const", "exact")
 
@@ -104,12 +104,10 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     The load point raises SingularPointError, and so does any offset so
     small (below about 1e-103 m) that rho^3 underflows to zero.
     """
-    if len(offset) != 3:
-        raise InvalidArgumentError("offset needs 3 entries, got %r" % (offset,))
-    check_finite("offset", *offset)
+    check_entries("offset", offset, 3)
+    check_entries("force", force, 3)
     x, y, z = (float(c) for c in offset)
     force = np.asarray(force, dtype=float)
-    check_finite("force", *force.ravel().tolist())
     check_positive("young modulus", young_modulus)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)

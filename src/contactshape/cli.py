@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import assembly, pipeline, sensor, solvers
+from . import assembly, fme, pipeline, sensor
 from .errors import ContactShapeError, InvalidArgumentError
 from .grid import build_regular_grid, load_grid, read_field, save_grid, write_field
 from .sensor import ElastomerParams
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--vars", type=int, default=4)
     f.add_argument("--rows", type=int, default=8)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--exact", action="store_true", help="rational arithmetic")
 
     b = sub.add_parser("benchmark", help="time matrix assembly against grid size")
     b.add_argument("--sizes", default="25,100,400,1600", help="comma-separated cell counts")
@@ -255,25 +254,22 @@ def _cmd_fme_demo(args):
     rng = np.random.default_rng(args.seed)
     A = rng.integers(-3, 4, size=(args.rows, args.vars))
     b = rng.integers(-5, 3, size=args.rows)
-    system = solvers.InequalitySystem.from_arrays(A, b, exact=args.exact)
-    print(
-        "random system: %d rows, %d vars, seed %d%s"
-        % (args.rows, args.vars, args.seed, ", exact" if args.exact else "")
-    )
+    system = fme.InequalitySystem.from_arrays(A, b)
+    print("random system: %d rows, %d vars, seed %d" % (args.rows, args.vars, args.seed))
     n0 = bound = system.n_rows
-    limit = solvers.FME_MAX_ROWS
+    limit = fme.FME_MAX_ROWS
     for step in range(system.n_vars):
-        system = solvers.fme_eliminate(system, step)
+        system = fme.fme_eliminate(system, step)
         # one step leaves at most max(m, m^2/4) of m rows; iterated, that is
         # the classical 4 (n/4)^(2^p).  fme_eliminate stops past the row
         # limit, so the bound need not grow beyond it.
         if bound <= limit:
-            bound = max(bound, int(solvers.fme_worst_case_count(bound, 1)))
+            bound = max(bound, int(fme.fme_worst_case_count(bound, 1)))
         print(
             "after eliminating x%d: %d rows (worst case from %d rows: %s)"
             % (step, system.n_rows, n0, bound if bound <= limit else "over %d" % limit)
         )
-    print("feasible: %s" % solvers.fme_feasible(system))
+    print("feasible: %s" % fme.fme_feasible(system))
 
 
 def _cmd_benchmark(args):

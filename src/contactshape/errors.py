@@ -63,6 +63,13 @@ def check_finite(what: str, *values) -> None:
             raise InvalidArgumentError("%s must be a finite number, got %r" % (what, v))
 
 
+def check_entries(what: str, values, n: int) -> None:
+    """``values`` must hold ``n`` entries, each passing ``check_finite``."""
+    if not hasattr(values, "__len__") or len(values) != n:
+        raise InvalidArgumentError("%s needs %d entries, got %r" % (what, n, values))
+    check_finite(what, *values)
+
+
 def check_positive(what: str, value) -> None:
     """``value`` must pass ``check_finite`` and be > 0."""
     check_finite(what, value)

@@ -48,7 +48,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OracleFailureError, check_finite, check_positive
+from .errors import InvalidArgumentError, OracleFailureError
+from .errors import check_entries, check_finite, check_positive
 
 # A weight smaller than this fraction of the local length scale forces
 # its (removable-limit) term to zero.
@@ -127,11 +128,12 @@ def _uz(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -
 
 
 def _check_cell_point(cell, pt) -> tuple[float, float, float, float, float]:
+    check_entries("cell half-extents", cell, 2)
+    check_entries("point", pt, 3)
     a, b = cell
     x, y, z = pt
     check_positive("cell half-extent", a)
     check_positive("cell half-extent", b)
-    check_finite("point", x, y, z)
     if z < 0.0:
         raise InvalidArgumentError("depth z must be non-negative, got %r" % z)
     return float(a), float(b), float(x), float(y), float(z)
@@ -163,7 +165,8 @@ def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray
     center.  Each component is the same closed form evaluated at the
     surface minus its value at depth h_c.
     """
-    a, b, x, y, _ = _check_cell_point(half_extents, (delta[0], delta[1], 0.0))
+    check_entries("node offset", delta, 2)
+    a, b, x, y, _ = _check_cell_point(half_extents, (*delta, 0.0))
     check_positive("cover thickness", h_c)
     E = params.young_modulus
     nu = params.poisson_ratio

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import assembly, solvers
-from .errors import InvalidArgumentError, check_count, check_finite, check_positive
+from .errors import InvalidArgumentError, check_count, check_entries, check_finite, check_positive
 from .grid import FieldVector, Grid, build_regular_grid, field_values
 from .sensor import ElastomerParams
 
@@ -52,9 +52,7 @@ class IndenterSpec:
                 "indenter shape must be one of %s, got %r" % (INDENTER_SHAPES, self.shape)
             )
         check_positive("indenter diameter", self.diameter)
-        if len(self.center) != 2:
-            raise InvalidArgumentError("indenter center needs 2 entries, got %r" % (self.center,))
-        check_finite("indenter center", *self.center)
+        check_entries("indenter center", self.center, 2)
         check_positive("force", self.force)
         if self.force > MAX_FORCE:
             raise InvalidArgumentError(
@@ -387,6 +385,7 @@ def compare_models(
     ``bc``.  Samples run along y = 0 with x = 0 in the middle of the
     range.
     """
+    check_entries("cell half-extents", half_extents, 2)
     a, b = half_extents
     check_finite("pressure", pressure)
     check_positive("cell half-extent", a)

@@ -295,7 +295,7 @@ def test_criterion_08_fme_equivalence():
         A = rng.integers(-3, 4, size=(nrows, 3))
         b = rng.integers(-5, 6, size=nrows)
         oracle = _grid_scan_feasible(A, b) or _candidate_points_feasible(A, b)
-        sysm = InequalitySystem.from_arrays(A, b, exact=True)
+        sysm = InequalitySystem.from_arrays(A, b)
         got = fme_feasible(fme_eliminate_all(sysm)[0])
         feasible_count += got
         if got != oracle:

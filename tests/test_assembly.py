@@ -209,6 +209,8 @@ def test_cache_corruption_is_a_miss(small_grids, params, tmp_path, caplog):
         npy_bytes(np.ones((9, 4))),  # a whole entry of another shape
         npy_bytes(np.ones((9, 9), dtype=np.int64)),
         npy_bytes(mat.entries.astype(np.float32)),
+        npy_bytes(np.where(np.eye(9) > 0, np.nan, mat.entries)),  # well-formed, but NaN
+        npy_bytes(np.where(np.eye(9) > 0, np.inf, mat.entries)),
     ]:
         key = save_matrix(mat, tmp_path)
         (tmp_path / (key + ".npy")).write_bytes(content)
@@ -347,6 +349,8 @@ def test_inverse_cache_corruption_is_a_miss(small_grids, params, tmp_path, caplo
         whole[: 128 + 9 * 9 * 8],  # the pseudo-inverse without the singular values
         whole[:-8],  # one singular value short
         (tmp_path / "other" / (other + ".pinv")).read_bytes(),  # a whole entry of another shape
+        npy_bytes(np.full_like(op.pinv, np.nan)) + npy_bytes(op.singular_values),
+        npy_bytes(op.pinv) + npy_bytes(np.full_like(op.singular_values, np.inf)),
     ]:
         (tmp_path / (key + ".pinv")).write_bytes(content)
         caplog.clear()

@@ -375,21 +375,31 @@ def test_assemble_has_no_full_option(grid_file, capsys):
 
 
 def test_fme_demo_command(capsys):
-    code, out, _ = run(["fme-demo", "--vars", "3", "--rows", "6", "--seed", "2", "--exact"], capsys)
+    code, out, _ = run(["fme-demo", "--vars", "3", "--rows", "6", "--seed", "2"], capsys)
     assert code == 0
     assert "worst case" in out
     assert out.strip().endswith(("feasible: True", "feasible: False"))
-    # seed 8 reaches 407 rows after three steps: more than 4 (8/4)^(2*3), within
+    # seed 8 reaches 401 rows after three steps: more than 4 (8/4)^(2*3), within
     # the iterated bound 4 (8/4)^(2^3)
     code, out, _ = run(["fme-demo", "--vars", "4", "--rows", "8", "--seed", "8"], capsys)
     assert code == 0
     steps = re.findall(r": (\d+) rows \(worst case from 8 rows: (\d+)\)", out)
-    assert [int(n) for n, _ in steps] == [15, 44, 407, 0]
+    assert [int(n) for n, _ in steps] == [15, 44, 401, 0]
     assert all(int(n) <= int(bound) for n, bound in steps)
     # five rows that never blow up run every step while the bound passes the row limit
     code, out, _ = run(["fme-demo", "--vars", "12", "--rows", "5", "--seed", "0"], capsys)
     assert code == 0
     assert "worst case from 5 rows: over 1000000)" in out
+
+
+def test_fme_demo_has_one_arithmetic(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fme-demo", "--exact"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    # (1/4, 1/4, -7/8) satisfies seed 46's system
+    code, out, _ = run(["fme-demo", "--vars", "3", "--rows", "8", "--seed", "46"], capsys)
+    assert code == 0 and out.strip().endswith("feasible: True")
 
 
 def test_benchmark_command(capsys):

@@ -18,6 +18,7 @@ from contactshape import (
     ContactShapeError,
     ElastomerParams,
     IndenterSpec,
+    InequalitySystem,
     InvalidArgumentError,
     apply_forward,
     apply_inverse,
@@ -32,6 +33,9 @@ from contactshape import (
     build_regular_grid,
     compare_models,
     delta_c_from_thickness,
+    fme_eliminate,
+    fme_eliminate_all,
+    fme_feasible,
     fme_worst_case_count,
     grid_from_taxel_layout,
     love_displacement,
@@ -56,6 +60,16 @@ TRACT = build_regular_grid((0.0, 0.0), 2, 2, 2e-3, 2e-3)
 DISP = TRACT.retag("displacement")
 MAT = assemble("bc", TRACT, DISP, PARAMS)
 VEC = [1e-5, 2e-5, 3e-5, 4e-5]
+# x >= 1, y >= 0 and x + y <= 3
+ROWS = ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
+BOUNDS = [1.0, 0.0, -3.0]
+SYSTEM = InequalitySystem.from_arrays(ROWS, BOUNDS)
+
+
+def fme_verdict(A, b, order):
+    """Feasibility of A x >= b, each variable eliminated in ``order``."""
+    return fme_feasible(fme_eliminate_all(InequalitySystem.from_arrays(A, b), order)[0])
+
 
 # name -> (callable, positional arguments with finite, valid values)
 CASES = {
@@ -84,6 +98,10 @@ CASES = {
     "reconstruct_free": (reconstruct, (VEC, "bc", TRACT, DISP, PARAMS, "free")),
     "reconstruct_nonneg": (reconstruct, (VEC, "bc", TRACT, DISP, PARAMS, "nonneg")),
     "fme_worst_case_count": (fme_worst_case_count, (8, 2)),
+    "InequalitySystem.from_arrays": (InequalitySystem.from_arrays, (ROWS, BOUNDS)),
+    "fme_eliminate": (fme_eliminate, (SYSTEM, 1)),
+    "fme_eliminate_all": (fme_eliminate_all, (SYSTEM, [1, 0])),
+    "fme_feasible": (fme_verdict, (ROWS, BOUNDS, [0, 1])),
     "build_regular_grid": (build_regular_grid, ((0.0, 0.0), 2, 3, 1e-3, 2e-3)),
     "TaxelReading": (TaxelReading, (3, 1e-14, 0.5)),
     "delta_c_from_thickness": (delta_c_from_thickness, (1.5e-3, PARAMS)),
@@ -167,6 +185,28 @@ WRONG_KIND = {
     "bc_point_displacement 2-entry offset": (
         bc_point_displacement, ((0.0, 0.0, 1.0), (1e-3, 0.0), E)
     ),
+    "bc_point_displacement bool force": (
+        bc_point_displacement, ((True, 0.0, 0.0), (1e-3, 0.0, 1e-3), E)
+    ),
+    "bc_point_displacement 4-entry force": (
+        bc_point_displacement, ((0.0, 0.0, 1.0, 0.0), (1e-3, 0.0, 1e-3), E)
+    ),
+    "love_displacement 2-entry point": (
+        love_displacement, (1e5, (1e-3, 1e-3), (1e-3, 2e-3), PARAMS)
+    ),
+    "love_effective_column 1-entry offset": (
+        love_effective_column, ((1e-3,), (1e-3, 1e-3), 2e-3, PARAMS)
+    ),
+    "compare_models 3 half-extents": (compare_models, (1e5, (5e-4, 2e-4, 1e-4), PARAMS)),
+    "fme_eliminate index 1.5": (fme_eliminate, (SYSTEM, 1.5)),
+    "fme_eliminate index True": (fme_eliminate, (SYSTEM, True)),
+    "fme_eliminate index 2": (fme_eliminate, (SYSTEM, 2)),
+    "fme_eliminate_all order ['0']": (fme_eliminate_all, (SYSTEM, ["0"])),
+    "InequalitySystem bool coefficient": (InequalitySystem, (((True, 0),), (1,), 2)),
+    "InequalitySystem.from_arrays ragged rows": (
+        InequalitySystem.from_arrays, ([[1.0, 0.0], [1.0]], [0.0, 0.0])
+    ),
+    "InequalitySystem n_vars 2.0": (InequalitySystem, (((1, 0),), (1,), 2.0)),
     "TaxelReading index 1.5": (TaxelReading, (1.5, 1e-14)),
     "TaxelReading index '3'": (TaxelReading, ("3", 1e-14)),
     "TaxelReading delta_c True": (TaxelReading, (0, True)),

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -199,12 +201,35 @@ def test_warm_reconstruct_is_uncached_bitwise(pad, params, tmp_path, model):
         assert got.rank == want.rank == 36
 
 
+def npy_bytes(*arrays):
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a)
+    return buf.getvalue()
+
+
+def with_value(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
 def test_damaged_inverse_entry_is_refactorized(pad, params, tmp_path, caplog):
     tract, disp = pad
     d = np.full(36, 1e-6)
     want = reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path)
     (entry,) = tmp_path.glob("*.pinv")
-    for content in (b"", entry.read_bytes()[:1000], b"garbage"):
+    whole = entry.read_bytes()
+    buf = io.BytesIO(whole)
+    pinv, s = np.load(buf), np.load(buf)
+    # well-formed entries that hold a NaN or an inf
+    non_finite = [
+        npy_bytes(with_value(pinv, (3, 5), np.inf), s),
+        npy_bytes(with_value(pinv, (0, 0), np.nan), s),
+        npy_bytes(pinv, with_value(s, -1, np.nan)),
+        npy_bytes(pinv, with_value(s, 0, np.inf)),
+    ]
+    for content in [b"", whole[:1000], b"garbage"] + non_finite:
         entry.write_bytes(content)
         pipeline.memory_tier.clear()  # so the damaged entry is read
         reset_counters()
@@ -219,6 +244,31 @@ def test_damaged_inverse_entry_is_refactorized(pad, params, tmp_path, caplog):
         reset_counters()
         assert reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path).inverse_source == "cache"
         assert counters()["factorizations"] == 0
+
+
+@pytest.mark.parametrize("constraint", ["free", "nonneg"])
+def test_damaged_matrix_entry_is_reassembled(pad, params, tmp_path, caplog, constraint):
+    tract, disp = pad
+    d = np.full(36, 1e-6)
+    want = reconstruct(d, "love", tract, disp, params, constraint=constraint)
+    reconstruct(d, "love", tract, disp, params, constraint=constraint, cache_dir=tmp_path)
+    (entry,) = tmp_path.glob("*.npy")
+    C = np.load(entry)
+    for bad in (np.nan, np.inf, -np.inf):
+        entry.write_bytes(npy_bytes(with_value(C, (2, 7), bad)))
+        pipeline.memory_tier.clear()  # so the damaged entry is read
+        reset_counters()
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            got = reconstruct(
+                d, "love", tract, disp, params, constraint=constraint, cache_dir=tmp_path
+            )
+        assert any("re-assembling" in r.message for r in caplog.records)
+        assert counters()["assemblies"] == 1 and got.matrix_source == "assembled"
+        assert got.tractions.values.tobytes() == want.tractions.values.tobytes()
+        assert got.residual_norm == want.residual_norm
+        # the re-assembled matrix replaced the damaged entry
+        assert np.load(entry).tobytes() == C.tobytes()
 
 
 def test_nonneg_neither_reads_nor_writes_an_inverse(pad, params, tmp_path):

@@ -236,7 +236,7 @@ def test_fme_elimination_order_does_not_change_feasibility():
     for _ in range(40):
         A = rng.integers(-3, 4, size=(5, 3))
         b = rng.integers(-4, 5, size=5)
-        sysm = InequalitySystem.from_arrays(A, b, exact=True)
+        sysm = InequalitySystem.from_arrays(A, b)
         f1 = fme_feasible(fme_eliminate_all(sysm, order=(0, 1, 2))[0])
         f2 = fme_feasible(fme_eliminate_all(sysm, order=(2, 0, 1))[0])
         assert f1 == f2
@@ -253,11 +253,47 @@ def test_fme_dedupe_drops_copies_and_trivial_rows():
 
 
 def test_fme_exact_mode_uses_rationals():
-    sysm = InequalitySystem.from_arrays([[0.1, 1]], [0.5], exact=True)
+    sysm = InequalitySystem.from_arrays([[0.1, 1]], [0.5])
     c = sysm.coefficients[0][0]
     assert isinstance(c, Fraction)
     # the exact binary value of the double 0.1, not one tenth
     assert c == Fraction(0.1) and c != Fraction(1, 10)
+
+
+def test_fme_seed_46_system_is_feasible():
+    """(1/4, 1/4, -7/8) satisfies this system (``fme-demo`` seed 46).  Float
+    rounding leaves a coefficient below 1e-12 that pairs as a real bound
+    and makes it look infeasible; exact rationals leave an exact zero."""
+    A = [[0, 3, -2], [-3, 0, -2], [-2, 1, -3], [3, 2, -3],
+         [2, 1, 2], [2, -2, 0], [0, 2, 2], [3, 1, 0]]
+    b = [-1, 1, 1, -5, -1, 0, -4, 1]
+    sysm = InequalitySystem.from_arrays(np.array(A), np.array(b))
+    assert sysm.satisfied_by((0.25, 0.25, -0.875))
+    assert sysm.satisfied_by((Fraction(1, 4), Fraction(1, 4), Fraction(-7, 8)))
+    final, counts = fme_eliminate_all(sysm)
+    assert fme_feasible(final)
+    assert counts == [8, 10, 15, 0]
+
+
+def test_fme_entries_are_fractions():
+    """Every coefficient and bound is a Fraction, however it was given."""
+    built = InequalitySystem(((1, 2.5), (np.int64(-3), Fraction(1, 3))), (0.1, np.float64(2)), 2)
+    projected = fme_eliminate(InequalitySystem.from_arrays([[1.5, -1], [-2, 1]], [0, 1]), 0)
+    for sysm in (built, projected):
+        for value in [c for row in sysm.coefficients for c in row] + list(sysm.bounds):
+            assert type(value) is Fraction
+    assert built.coefficients[1][0] == -3 and built.bounds[0] == Fraction(0.1)
+    with pytest.raises(InvalidArgumentError):
+        built.satisfied_by((1.0,))
+    with pytest.raises(InvalidArgumentError):
+        built.satisfied_by((1.0, float("nan")))
+
+
+def test_fme_has_no_arithmetic_switch():
+    with pytest.raises(TypeError):
+        InequalitySystem.from_arrays([[1, 0]], [1], exact=True)
+    with pytest.raises(TypeError):
+        InequalitySystem(((1, 0),), (1,), 2, True)
 
 
 def test_fme_feasible_requires_projected_system():
@@ -297,7 +333,7 @@ def test_fme_projection_matches_direct_search():
     for _ in range(25):
         A = rng.integers(-3, 4, size=(4, 2))
         b = rng.integers(-5, 6, size=4)
-        sysm = InequalitySystem.from_arrays(A, b, exact=True)
+        sysm = InequalitySystem.from_arrays(A, b)
         proj = fme_eliminate(sysm, 0)
         for y in ys:
             direct = any(sysm.satisfied_by((x, y)) for x in xs)

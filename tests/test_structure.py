@@ -40,9 +40,8 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert private_reach_ins() == []
 
 
-def model_imports(package_dir=PACKAGE_DIR):
-    """``file:line module`` for every import of an elastic-model module
-    (``boussinesq``, ``love``)."""
+def imports_of(modules, package_dir=PACKAGE_DIR):
+    """``file:line module`` for every import of one of ``modules``."""
     found = []
     for path in sorted(package_dir.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -52,7 +51,7 @@ def model_imports(package_dir=PACKAGE_DIR):
                 parts = [p for a in node.names for p in a.name.split(".")]
             else:
                 continue
-            for name in sorted({"boussinesq", "love"} & set(parts)):
+            for name in sorted(set(modules) & set(parts)):
                 found.append("%s:%d %s" % (path.name, node.lineno, name))
     return found
 
@@ -61,7 +60,8 @@ def test_only_assembly_knows_the_elastic_models():
     """Which model runs, and in which unit its kernel works, is assembly's
     decision; the package root re-exports the kernels."""
     allowed = ("assembly.py", "__init__.py")
-    assert [f for f in model_imports() if f.split(":")[0] not in allowed] == []
+    found = imports_of({"boussinesq", "love"})
+    assert [f for f in found if f.split(":")[0] not in allowed] == []
 
 
 def test_import_leaves_scipy_unloaded():
@@ -115,3 +115,29 @@ def test_every_input_file_is_read_by_one_of_the_readers():
     error policy for every format); the cache reader and the JSON params
     file are the only other files opened for reading."""
     assert set(reading_opens()) == {"grid.read_records", "assembly._read_entry", "cli._load_params"}
+
+
+def top_level_names(path):
+    """Names a module defines at its top level: functions, classes and
+    assignment targets."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_solvers_defines_no_fme_name():
+    """Fourier-Motzkin elimination lives in ``fme``; ``solvers`` is NNLS only."""
+    solvers = top_level_names(PACKAGE_DIR / "solvers.py")
+    assert solvers & top_level_names(PACKAGE_DIR / "fme.py") == set()
+    assert [n for n in solvers if "fme" in n.lower() or "inequalit" in n.lower()] == []
+
+
+def test_only_fme_uses_rational_arithmetic():
+    """FME's one arithmetic, exact rationals, stays in its one module."""
+    found = imports_of({"fractions"})
+    assert found and [f for f in found if not f.startswith("fme.py:")] == []
