@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_count, check_positive
+from .errors import ContactShapeError, InvalidArgumentError, check_count, check_positive
 
 # Two cell centers closer than this are considered the same physical taxel.
 DUPLICATE_CENTER_TOL = 1e-9
@@ -176,7 +176,8 @@ def read_records(path, what: str, header, sep, widths, parse) -> list:
     raises OSError.  Bytes that are not UTF-8 text, a missing header, a
     record whose field count is not in ``widths`` and a record ``parse``
     cannot convert (ValueError) raise InvalidArgumentError naming the
-    file; a ContactShapeError from ``parse`` passes through unchanged.
+    file; a ContactShapeError from ``parse`` (a negative reading, say)
+    is raised again in its own category, naming the file and the record.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -196,6 +197,8 @@ def read_records(path, what: str, header, sep, widths, parse) -> list:
             out.append(parse(fields))
         except ValueError as exc:
             raise InvalidArgumentError("%s file %s: bad record %r" % (what, path, ln)) from exc
+        except ContactShapeError as exc:
+            raise type(exc)("%s file %s: record %r: %s" % (what, path, ln, exc)) from exc
     return out
 
 

@@ -3,7 +3,7 @@
 These are the verbs behind the command line tool.  They compose the
 grid, sensor, elastic-model, assembly, and solver layers; nothing here
 adds new physics.  With a cache dir, the solve state (matrices, inverse
-operators, Gram matrices) is also held in ``memory_tier``, which every
+operators, NNLS systems) is also held in ``memory_tier``, which every
 cache dir of the process shares, keyed by content.
 """
 
@@ -103,12 +103,17 @@ class SolveReport:
     untouched.  Each time in ``timings_ms`` is named for what it
     measured: ``assembly_ms`` or ``matrix_load_ms`` (from memory or
     disk), then on ``free`` ``inversion_ms`` (the SVD) or
-    ``inverse_load_ms``, and ``online_ms``.  On ``nonneg``,
-    ``iterations`` counts the NNLS pivoting iterations,
-    ``free_set_solver`` names how its free sets were solved, "gram" or
-    "lstsq", ``kkt_tolerance`` is the tolerance its optimality test used
-    (``solvers.NnlsResult``), and ``active_set_size`` counts the cells
-    in contact, those with a positive pressure; all four are None on
+    ``inverse_load_ms``, and ``online_ms``.  ``singular_value_range``
+    is (smallest, largest) of the singular values the truncated SVD
+    kept on ``free`` (None on ``nonneg``, or when it kept none).  On
+    ``nonneg``, ``iterations`` counts the NNLS iterations,
+    ``free_set_solver`` names the algorithm that ran, "schur" (block
+    pivoting on a held (C^T C)^-1) or "lawson-hanson" (where C^T C is
+    singular or too ill-conditioned, as when there are fewer sensing
+    nodes than traction cells), ``kkt_tolerance`` is the tolerance its
+    optimality test used (``solvers.NnlsResult``), and
+    ``active_set_size`` counts the cells with q > 0, which under noise
+    is many more than the cells in contact; all four are None on
     ``free``.
     """
 
@@ -127,6 +132,7 @@ class SolveReport:
     free_set_solver: str | None = None
     kkt_tolerance: float | None = None
     active_set_size: int | None = None
+    singular_value_range: tuple[float, float] | None = None
 
     def as_dict(self) -> dict:
         """Every field but tractions and reconstructed_displacements; timings_ms is a copy."""
@@ -254,8 +260,9 @@ def reconstruct(
     ``cache_dir``, the matrix and (on ``free``) its inverse operator come
     from ``memory_tier`` or from there when either holds them, and are
     saved there when neither does; the matrix and, on ``nonneg``, its
-    Gram matrix are held in memory from then on, so a stream of frames
-    reads no file and forms no G after its first frame.
+    ``solvers.NnlsSystem`` (with (C^T C)^-1 where the solves use it)
+    are held in memory from then on, so a stream of frames reads no
+    file and inverts nothing after its first frame.
     """
     if constraint not in CONSTRAINT_MODES:
         raise InvalidArgumentError(
@@ -267,7 +274,7 @@ def reconstruct(
     )
     timings = {("assembly_ms" if mat_source is None else "matrix_load_ms"): 1e3 * seconds}
     converged, iterations, free_set_solver = True, None, None
-    kkt_tolerance = active_set_size = None
+    kkt_tolerance = active_set_size = singular_value_range = None
     if constraint == "free":
         op, inverse_source, seconds = _obtain(
             key,
@@ -282,12 +289,15 @@ def reconstruct(
         q = assembly.apply_inverse(op, dv)
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         rank = op.rank
+        if rank:
+            kept = op.singular_values[:rank]
+            singular_value_range = (float(kept[-1]), float(kept[0]))
     else:
         t0 = time.perf_counter()
-        # with a cache, G = C^T C is formed once per matrix and held
+        # with a cache, the NNLS system is formed once per matrix and held
         system = mat.entries
         if key is not None:
-            system = _obtain(key, "gram", lambda: solvers.GramMatrix(mat.entries))[0]
+            system = _obtain(key, "nnls", lambda: solvers.NnlsSystem(mat.entries))[0]
         res = solvers.nnls_solve(system, dv)
         timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
         q = res.x
@@ -314,6 +324,7 @@ def reconstruct(
         free_set_solver,
         kkt_tolerance,
         active_set_size,
+        singular_value_range,
     )
 
 

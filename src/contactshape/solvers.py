@@ -1,18 +1,26 @@
 """Non-negative least squares.
 
 The NNLS solver enforces Q >= 0 on reconstructed tractions (contact can
-only push).  It runs block principal pivoting on the KKT system: swap
-every infeasible index between the free and active sets at once, and
-when the infeasibility count stops improving fall back to swapping only
-the largest infeasible index, which cannot cycle.  Each pivoting step
-solves the least-squares problem on the free columns F from the Gram
-matrix G = C^T C as G[F, F] x = (C^T d)[F], and takes the dual as
-G x - C^T d (Kim & Park, SIAM J. Sci. Comput. 33(6), 2011).  G is formed
-once per solve, or once per matrix when the solves share a
-``GramMatrix``.  With fewer rows than columns G is singular, so every
-step runs ``lstsq`` on C[:, F] instead; so does every step after one
-whose Gram solution fails ``_free_step``'s accuracy test.  The result
-says which ran, and how many iterations it took.
+only push): it minimizes ||C x - d|| subject to x >= 0, with one
+algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
+
+- "schur": when C has full column rank to working accuracy
+  (``_held_inverse``), H = (C^T C)^-1 is held and the solve runs block
+  principal pivoting on the KKT system (Kim & Park, SIAM J. Sci.
+  Comput. 33(6), 2011): swap every infeasible index between the free
+  and active sets at once, and when the infeasibility count stops
+  improving fall back to swapping only the largest infeasible index,
+  which cannot cycle on a positive definite G = C^T C (Judice & Pires,
+  Comput. Oper. Res. 21(5), 1994).  Each step is a Schur-complement
+  solve on the active set A alone: from the unconstrained x_u = H C^T d,
+  H[A, A] y_A = -x_u[A] gives the dual y_A, and x = x_u + H[:, A] y_A.
+- "lawson-hanson": otherwise (fewer rows than columns, or G singular or
+  too ill-conditioned), where pivoting may cycle, the Lawson-Hanson
+  active-set method (Solving Least Squares Problems, 1974, ch. 23),
+  which terminates on every C, with ``lstsq`` steps on the passive
+  columns.
+
+The result says which ran, and how many iterations it took.
 """
 
 from __future__ import annotations
@@ -35,8 +43,10 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class NnlsResult:
-    """One non-negative solve.  ``free_set_solver`` is "gram" unless a
-    free-set step ran ``lstsq`` (see ``_free_step``), then "lstsq"."""
+    """One non-negative solve.  ``free_set_solver`` names the algorithm
+    that ran, "schur" or "lawson-hanson" (see the module docstring);
+    ``iterations`` counts the former's pivoting iterations, the one that
+    finds the optimum included, or the latter's ``lstsq`` steps."""
 
     x: np.ndarray
     residual: float
@@ -46,92 +56,70 @@ class NnlsResult:
     free_set_solver: str
 
 
-def _free_step(C, d, G, ctd, free, tol):
-    """Least-squares x on the free columns F, and G if later steps may use it.
-
-    With G = C^T C, x solves G[F, F] x = (C^T d)[F], kept when the solve
-    meets no zero pivot and the rounding the dual G x - C^T d can carry,
-    eps max|G| ||x||_1, stays within the KKT tolerance.  A nearly
-    singular G[F, F] (C rank-deficient on F) gives a huge x and fails
-    that test.  Otherwise x comes from ``lstsq`` on C[:, F], and None is
-    returned for G, so the rest of the solve stays on C.
-    """
-    if G is not None:
-        try:
-            x = np.linalg.solve(G[np.ix_(free, free)], ctd[free])
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None and _EPS * G.diagonal().max() * np.abs(x).sum() <= tol:
-            return x, G
-    return np.linalg.lstsq(C[:, free], d, rcond=None)[0], None
+def _held_inverse(C):
+    """H = G^-1 with G = C^T C, or None when the Schur steps should not
+    use it: C has fewer rows than columns, G cannot be inverted, or the
+    rounding the steps' dual can carry relative to ||C^T d||,
+    eps ||G||_1 ||H||_1, exceeds the KKT tolerance.  G is not kept."""
+    if C.shape[0] < C.shape[1]:
+        return None
+    G = C.T @ C
+    try:
+        H = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return None
+    if not _EPS * np.linalg.norm(G, 1) * np.linalg.norm(H, 1) <= NNLS_KKT_RTOL:
+        return None
+    return H
 
 
-def _checked_matrix(C) -> np.ndarray:
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2:
-        raise InvalidArgumentError("need a 2-d matrix, got shape %s" % (C.shape,))
-    if not np.all(np.isfinite(C)):
-        raise InvalidArgumentError("matrix must be finite")
-    return C
+class NnlsSystem:
+    """A matrix C and what ``nnls_solve`` needs of it, formed once, so
+    that solves on one C share it.
 
-
-def _gram(C):
-    """G = C^T C, or None when C has fewer rows than columns (G singular)."""
-    return C.T @ C if C.shape[0] >= C.shape[1] else None
-
-
-class GramMatrix:
-    """A matrix C and its Gram matrix G = C^T C, both read-only, so that
-    ``nnls_solve`` calls on one C form G once.
-
-    G is always formed here from C, as ``nnls_solve`` forms it; C is
-    checked like ``nnls_solve``'s matrix and copied unless it is
-    read-only already.  ``gram`` is None when C has fewer rows than
-    columns.
+    C must be a finite 2-d matrix with at least one column; it is
+    copied unless it is read-only already.  ``inverse_gram`` is the
+    read-only H = (C^T C)^-1 the Schur steps use, or None where the
+    solves run Lawson-Hanson (``_held_inverse``).
     """
 
     def __init__(self, C):
-        C = _checked_matrix(C)
+        C = np.asarray(C, dtype=float)
+        if C.ndim != 2 or C.shape[1] == 0:
+            raise InvalidArgumentError(
+                "need a 2-d matrix with at least one column, got shape %s" % (C.shape,)
+            )
+        if not np.all(np.isfinite(C)):
+            raise InvalidArgumentError("matrix must be finite")
         if C.flags.writeable:
             C = C.copy()
             C.flags.writeable = False
-        G = _gram(C)
-        if G is not None:
-            G.flags.writeable = False
+        H = _held_inverse(C)
+        if H is not None:
+            H.flags.writeable = False
         self.matrix = C
-        self.gram = G
+        self.inverse_gram = H
 
 
-def nnls_solve(C, d) -> NnlsResult:
-    """Minimize ||C x - d|| subject to x >= 0 by block principal pivoting.
-
-    ``C`` is a matrix, or a ``GramMatrix`` whose G is used instead of
-    forming it again.  Returns the solution with x clamped exactly
-    non-negative.  If the iteration limit is hit, the iterate x (x = 0
-    included) with the lowest ||C max(x, 0) - d|| is returned, clamped,
-    with ``converged`` False rather than raising.
-    """
-    if isinstance(C, GramMatrix):
-        C, G = C.matrix, C.gram
-    else:
-        C = _checked_matrix(C)
-        G = _gram(C)
-    d = field_values(d, C.shape[0], "data vector")
-
+def _block_pivoting(C, H, d, ctd, tol, limit):
+    """Block principal pivoting with Schur steps on the active set, for
+    at most ``limit`` iterations; see ``nnls_solve`` for what it returns
+    at that cap."""
     n = C.shape[1]
-    ctd = C.T @ d
-    tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
-
-    free = np.zeros(n, dtype=bool)
-    x = np.zeros(n)
-    y = -ctd
-    residual = float(np.linalg.norm(d))
-    best = (x, residual)
+    x_u = H @ ctd
+    free = np.ones(n, dtype=bool)
+    x, y = x_u, np.zeros(n)
+    best = (np.zeros(n), float(np.linalg.norm(d)))
     best_infeasible = n + 1
     slack = NNLS_BACKUP_TRIGGER
     iterations = 0
     converged = False
-    while iterations < NNLS_MAX_ITERATIONS:
+    while True:
+        residual = float(np.linalg.norm(C @ np.maximum(x, 0.0) - d))
+        if residual < best[1]:
+            best = (x, residual)
+        if iterations == limit:
+            break
         iterations += 1
         xtol = 1e-12 * max(np.max(np.abs(x)), 1.0)
         bad_x = free & (x < -xtol)
@@ -153,15 +141,81 @@ def nnls_solve(C, d) -> NnlsResult:
                 bad = np.zeros(n, dtype=bool)
                 bad[idx] = True
         free ^= bad
-        x = np.zeros(n)
-        if free.any():
-            x[free], G = _free_step(C, d, G, ctd, free, tol)
-        y = C.T @ (C @ x - d) if G is None else G @ x - ctd
-        residual = float(np.linalg.norm(C @ np.maximum(x, 0.0) - d))
-        if residual < best[1]:
-            best = (x, residual)
-
+        active = ~free
+        y = np.zeros(n)
+        x = x_u
+        if active.any():
+            y[active] = np.linalg.solve(H[np.ix_(active, active)], -x_u[active])
+            x = x_u + H[:, active] @ y[active]
+            x[active] = 0.0
     if not converged:
         x, residual = best
-    solver = "lstsq" if G is None else "gram"
+    return x, residual, iterations, converged
+
+
+def _lawson_hanson(C, d, ctd, tol, limit):
+    """Lawson-Hanson's active-set method, one ``lstsq`` step per
+    iteration, for at most ``limit`` iterations.  Every iterate is
+    feasible and none raises the residual, so the last is the best."""
+    n = C.shape[1]
+    passive = np.zeros(n, dtype=bool)
+    x = np.zeros(n)
+    w = ctd  # -gradient C^T (d - C x) at x
+    solved = True  # x solves the least squares on the passive columns
+    iterations = 0
+    converged = False
+    while True:
+        if solved:
+            j = int(np.argmax(np.where(passive, -np.inf, w)))
+            if passive[j] or w[j] <= tol:
+                converged = True
+                break
+        if iterations == limit:
+            break
+        iterations += 1
+        if solved:
+            passive[j] = True
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(C[:, passive], d, rcond=None)[0]
+        blocked = passive & (z <= 0.0)
+        solved = not blocked.any()
+        if solved:
+            x = z
+            w = C.T @ (d - C @ x)
+        else:
+            # step from x toward z until the first blocked entry reaches
+            # zero, and leave every entry at zero out of the passive set
+            steps = x[blocked] / np.maximum(x[blocked] - z[blocked], np.finfo(float).tiny)
+            x = x + np.min(steps) * (z - x)
+            x[np.flatnonzero(blocked)[np.argmin(steps)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x, float(np.linalg.norm(C @ x - d)), iterations, converged
+
+
+def nnls_solve(C, d) -> NnlsResult:
+    """Minimize ||C x - d|| subject to x >= 0.
+
+    ``C`` is a matrix, or an ``NnlsSystem`` formed from it once; a
+    matrix is made into one here.  Returns the solution with x clamped
+    exactly non-negative.  The iteration limit is NNLS_MAX_ITERATIONS;
+    Lawson-Hanson, which moves one column per iteration and so needs at
+    least as many as x has positive entries, gets 3 per column where
+    that is more (``scipy.optimize.nnls``'s limit).  If the limit is
+    hit, the iterate x (x = 0 included) with the lowest
+    ||C max(x, 0) - d|| is returned, clamped, with ``converged`` False
+    rather than raising.
+    """
+    system = C if isinstance(C, NnlsSystem) else NnlsSystem(C)
+    C, H = system.matrix, system.inverse_gram
+    d = field_values(d, C.shape[0], "data vector")
+    ctd = C.T @ d
+    tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
+    if H is None:
+        limit = max(NNLS_MAX_ITERATIONS, 3 * C.shape[1])
+        x, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
+        solver = "lawson-hanson"
+    else:
+        x, residual, iterations, converged = _block_pivoting(C, H, d, ctd, tol, NNLS_MAX_ITERATIONS)
+        solver = "schur"
     return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver)

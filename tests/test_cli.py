@@ -148,7 +148,7 @@ def test_nonneg_report_has_no_rank(grid_file, tmp_path, capsys):
     report = json.loads(rep_path.read_text())
     assert report["constraint_mode"] == "nonneg"
     assert "rank" in report and report["rank"] is None
-    assert report["converged"] and report["free_set_solver"] == "gram"
+    assert report["converged"] and report["free_set_solver"] == "schur"
     assert ", %d iterations" % report["iterations"] in summary
 
 
@@ -174,9 +174,12 @@ def test_report_carries_the_nnls_tolerance_and_contact_size(grid_file, tmp_path,
     q = read_field(q_path, tract).values
     assert report["active_set_size"] == np.count_nonzero(q > 0.0) == np.count_nonzero(res.x > 0.0)
     assert 0 < report["active_set_size"] < len(q)
+    assert report["singular_value_range"] is None
     assert run(argv, capsys)[0] == 0
     report = json.loads(rep_path.read_text())
     assert report["kkt_tolerance"] is None and report["active_set_size"] is None
+    s = np.linalg.svd(C, compute_uv=False)
+    assert report["singular_value_range"] == pytest.approx([s[report["rank"] - 1], s[0]], rel=1e-12)
 
 
 def test_nonneg_summary_says_when_the_solve_did_not_converge(grid_file, tmp_path, capsys, monkeypatch):
@@ -186,6 +189,12 @@ def test_nonneg_summary_says_when_the_solve_did_not_converge(grid_file, tmp_path
         "--diameter", "4e-3", "--center", "3e-3,3e-3", "--force", "1.0",
         "--out", str(tmp_path / "q.dat"), "--displacements-out", str(d_path), "--model", "bc",
     ]) == 0
+    # a node lifted against the probe: the unconstrained solution has a
+    # negative pressure, so one pivoting iteration cannot reach the optimum
+    disp = load_grid(grid_file, "displacement")
+    d = read_field(d_path, disp).values.copy()
+    d[0] = -np.max(d)
+    contactshape.write_field(contactshape.FieldVector(d, disp), d_path)
     capsys.readouterr()
     monkeypatch.setattr(solvers, "NNLS_MAX_ITERATIONS", 1)
     rep_path = tmp_path / "rep.json"

@@ -198,7 +198,7 @@ def test_read_records_error_policy(tmp_path):
     def refuse(fields):
         raise InvalidReadingError("refused")
 
-    with pytest.raises(InvalidReadingError, match="^refused$"):
+    with pytest.raises(InvalidReadingError, match=r"^test file .*f\.txt: record '1;2': refused$"):
         read_records(p, "test", "h", ";", (2,), refuse)
     p.write_bytes(b"\xff\xfeh\x00\n\x00")
     with pytest.raises(InvalidArgumentError, match=r"^test file .*f\.txt: not text"):

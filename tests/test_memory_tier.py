@@ -87,7 +87,7 @@ def test_cold_disk_and_memory_results_are_bitwise_equal(
     for got in (cold, warm, held):
         assert _bits(got) == _bits(want)
     if constraint == "nonneg":
-        assert want.free_set_solver == held.free_set_solver == "gram"
+        assert want.free_set_solver == held.free_set_solver == "schur"
         assert want.kkt_tolerance == held.kkt_tolerance
 
 
@@ -126,11 +126,12 @@ def test_held_state_is_read_only(pad, params, tmp_path):
     key = assembly.matrix_key("bc", tract, disp, params, True, "const")
     mat = memory_tier.get(key, "matrix")
     op = memory_tier.get(key, "inverse")
-    gram = memory_tier.get(key, "gram")
-    held = [mat.entries, op.pinv, op.singular_values, gram.matrix, gram.gram]
+    system = memory_tier.get(key, "nnls")
+    held = [mat.entries, op.pinv, op.singular_values, system.matrix, system.inverse_gram]
     assert not any(a.flags.writeable for a in held)
-    assert gram.matrix is mat.entries  # one C, not a copy of it
-    assert gram.gram.tobytes() == (mat.entries.T @ mat.entries).tobytes()
+    assert system.matrix is mat.entries  # one C, not a copy of it
+    H = np.linalg.inv(mat.entries.T @ mat.entries)
+    assert system.inverse_gram.tobytes() == H.tobytes()
     assert len(memory_tier) == 3
     assert memory_tier.nbytes == sum(a.nbytes for a in held)
     with pytest.raises(ValueError):
@@ -168,8 +169,8 @@ def test_an_entry_over_the_bound_is_not_held():
 
 def test_replacing_an_entry_counts_its_bytes_once():
     tier = MemoryTier(max_bytes=1000)
-    tier.put("a", "gram", _Entry(400))
-    tier.put("a", "gram", _Entry(600))
+    tier.put("a", "nnls", _Entry(400))
+    tier.put("a", "nnls", _Entry(600))
     assert tier.nbytes == 600 and len(tier) == 1
     tier.clear()
     assert tier.nbytes == 0 and len(tier) == 0
@@ -217,24 +218,25 @@ def test_a_pipeline_stream_stays_within_the_bound(pad, params, tmp_path, monkeyp
     assert len(list(tmp_path.glob("*.npy"))) == 3
 
 
-def test_gram_matrix_is_formed_from_its_matrix_only(params):
+def test_nnls_system_is_formed_from_its_matrix_only(params):
     g = build_regular_grid((0.0, 0.0), 5, 5, 2e-3, 2e-3)
     C = assemble("bc", g, g.retag("displacement"), params).entries
     d = C @ np.linspace(-1.0, 1.0, 25) * 1e4
-    system = solvers.GramMatrix(C)
+    system = solvers.NnlsSystem(C)
     assert system.matrix is not C and C.flags.writeable  # a writeable C is copied
-    assert not system.matrix.flags.writeable and not system.gram.flags.writeable
-    assert system.gram.tobytes() == (C.T @ C).tobytes()
+    assert not system.matrix.flags.writeable and not system.inverse_gram.flags.writeable
+    assert system.inverse_gram.tobytes() == np.linalg.inv(C.T @ C).tobytes()
+    assert set(vars(system)) == {"matrix", "inverse_gram"}  # G is not kept
     want, got = nnls_solve(C, d), nnls_solve(system, d)
     assert got.x.tobytes() == want.x.tobytes()
-    assert (got.iterations, got.residual, got.kkt_tolerance) == (
-        want.iterations, want.residual, want.kkt_tolerance)
-    held = solvers.GramMatrix(system.matrix)
+    assert (got.iterations, got.residual, got.kkt_tolerance, got.free_set_solver) == (
+        want.iterations, want.residual, want.kkt_tolerance, "schur")
+    held = solvers.NnlsSystem(system.matrix)
     assert held.matrix is system.matrix  # a read-only C is not
-    wide = solvers.GramMatrix(C[:10])
-    assert wide.gram is None
-    assert nnls_solve(wide, d[:10]).free_set_solver == "lstsq"
+    wide = solvers.NnlsSystem(C[:10])
+    assert wide.inverse_gram is None
+    assert nnls_solve(wide, d[:10]).free_set_solver == "lawson-hanson"
     with pytest.raises(InvalidArgumentError):
-        solvers.GramMatrix(np.full((2, 2), np.nan))
+        solvers.NnlsSystem(np.full((2, 2), np.nan))
     with pytest.raises(InvalidArgumentError):
         nnls_solve(system, d[:5])

@@ -140,25 +140,32 @@ def test_reconstruct_report_dict(pad, params):
     assert set(d) == {
         "model", "constraint_mode", "psi_mode", "rank",
         "residual_norm", "converged", "iterations", "free_set_solver",
-        "kkt_tolerance", "active_set_size",
+        "kkt_tolerance", "active_set_size", "singular_value_range",
         "matrix_source", "inverse_source", "timings_ms",
     }
     assert d["matrix_source"] == "assembled" and d["inverse_source"] == "factorized"
     assert d["iterations"] is None and d["free_set_solver"] is None
     assert d["kkt_tolerance"] is None and d["active_set_size"] is None
     assert set(d["timings_ms"]) == {"assembly_ms", "inversion_ms", "online_ms"}
+    s = pipeline.assembly.precompute_inverse(assemble("bc", tract, disp, params)).singular_values
+    assert d["rank"] == len(s)
+    assert d["singular_value_range"] == (s[-1], s[0]) and 0.0 < s[-1] < s[0]
 
 
 def test_nonneg_report_says_what_the_solver_did(pad, params):
     tract, disp = pad
     q_true = synth_contact(IndenterSpec("hemisphere", 6e-3, (5e-3, 5e-3), 1.0), tract)
     d = apply_forward(assemble("bc", tract, disp, params), q_true)
+    # noise makes the unconstrained solution negative on some cells, so
+    # the solve has to pivot
+    d = d + 1e-3 * np.max(d) * np.random.default_rng(3).standard_normal(len(d))
     report = reconstruct(d, "bc", tract, disp, params, constraint="nonneg")
     res = nnls_solve(assemble("bc", tract, disp, params).entries, d)
     assert report.converged and report.iterations == res.iterations > 1
-    assert report.free_set_solver == res.free_set_solver == "gram"
+    assert report.free_set_solver == res.free_set_solver == "schur"
     fields = report.as_dict()
-    assert (fields["iterations"], fields["free_set_solver"]) == (res.iterations, "gram")
+    assert (fields["iterations"], fields["free_set_solver"]) == (res.iterations, "schur")
+    assert fields["singular_value_range"] is None
 
 
 def test_reconstruct_uses_cache(pad, params, tmp_path):

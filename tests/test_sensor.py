@@ -131,6 +131,18 @@ def test_readings_file_errors(tmp_path):
         load_readings(path)
 
 
+@pytest.mark.parametrize(
+    "record, error",
+    [("0,-1e-15,", InvalidReadingError), ("-1,1e-15,", InvalidArgumentError)],
+)
+def test_a_bad_reading_names_its_file_and_record(tmp_path, record, error):
+    path = tmp_path / "r.csv"
+    path.write_text("taxel_index,delta_c_F,timestamp_s\n1,2e-15,\n%s\n" % record)
+    with pytest.raises(error, match=r"^readings file .*r\.csv: record '%s': " % record) as exc:
+        load_readings(path)
+    assert type(exc.value) is error
+
+
 def test_readings_to_displacements(params):
     rs = [TaxelReading(2, DELTA_C_AT_1P5MM), TaxelReading(0, 0.0)]
     out = readings_to_displacements(rs, 4, params)

@@ -30,6 +30,14 @@ def test_nnls_identity_clips_negatives():
     assert res.residual == pytest.approx(np.hypot(2.0, 0.1), rel=1e-14)
 
 
+def test_an_all_zero_frame_needs_no_pivoting():
+    for C, solver, iterations in ((np.eye(3) + 0.1, "schur", 1), (np.ones((2, 3)), "lawson-hanson", 0)):
+        res = nnls_solve(C, np.zeros(len(C)))
+        assert (res.free_set_solver, res.iterations, res.converged) == (solver, iterations, True)
+        np.testing.assert_array_equal(res.x, np.zeros(3))
+        assert res.residual == 0.0
+
+
 def test_nnls_recovers_nonnegative_truth():
     rng = np.random.default_rng(41)
     for _ in range(30):
@@ -84,30 +92,47 @@ def test_nnls_iteration_cap_reports_nonconvergence(monkeypatch):
     assert nnls_solve(C, d).converged
 
 
+def test_lawson_hanson_at_the_cap_returns_its_last_iterate():
+    rng = np.random.default_rng(71)
+    C = rng.normal(size=(6, 12))
+    d = rng.normal(size=6)
+    ctd = C.T @ d
+    tol = solvers.NNLS_KKT_RTOL * np.max(np.abs(ctd))
+    residuals = [np.linalg.norm(d)]
+    for limit in range(1, 6):
+        x, residual, iterations, converged = solvers._lawson_hanson(C, d, ctd, tol, limit)
+        assert iterations == limit and not converged
+        assert np.all(x >= 0.0) and residual == np.linalg.norm(C @ x - d)
+        residuals.append(residual)
+    # no iterate raises the residual, so the last one is the best
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    res = nnls_solve(C, d)
+    assert res.converged and res.free_set_solver == "lawson-hanson" and res.iterations > 5
+
+
 def _noisy_frames(C, tract, specs, rng):
     """C q plus Gaussian noise of 1e-3 of each frame's peak, one row per probe."""
     d = np.array([C @ (synth_contact(s, tract).values * tract.areas()) for s in specs])
     return d + 1e-3 * np.max(np.abs(d), axis=1, keepdims=True) * rng.standard_normal(d.shape)
 
 
-def _with_lstsq_steps(monkeypatch, C, d):
-    """``nnls_solve`` with every free-set step forced onto ``lstsq`` on C."""
-    step = solvers._free_step
+def _with_lawson_hanson(monkeypatch, C, d):
+    """``nnls_solve`` with no inverse held, so that Lawson-Hanson runs."""
     with monkeypatch.context() as m:
-        m.setattr(solvers, "_free_step", lambda C, d, G, *rest: step(C, d, None, *rest))
+        m.setattr(solvers, "_held_inverse", lambda C: None)
         return nnls_solve(C, d)
 
 
 def _assert_paths_agree(monkeypatch, C, d):
-    gram = nnls_solve(C, d)
-    ref = _with_lstsq_steps(monkeypatch, C, d)
-    assert gram.free_set_solver == "gram" and ref.free_set_solver == "lstsq"
-    assert gram.converged and ref.converged and gram.iterations == ref.iterations
-    np.testing.assert_array_equal(gram.x > 0.0, ref.x > 0.0)
-    assert np.linalg.norm(gram.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+    schur = nnls_solve(C, d)
+    ref = _with_lawson_hanson(monkeypatch, C, d)
+    assert schur.free_set_solver == "schur" and ref.free_set_solver == "lawson-hanson"
+    assert schur.converged and ref.converged
+    np.testing.assert_array_equal(schur.x > 0.0, ref.x > 0.0)
+    assert np.linalg.norm(schur.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
 
 
-def test_gram_steps_match_lstsq_steps_on_a_skin(monkeypatch):
+def test_schur_matches_lawson_hanson_on_a_skin(monkeypatch):
     # a 24x24 bc skin under press-and-slide probe frames with 0.1 % noise
     tract = build_regular_grid((-23e-3, -23e-3), 24, 24, 2e-3, 2e-3)
     C = assemble("bc", tract, tract.retag("displacement"), ElastomerParams()).entries
@@ -123,7 +148,7 @@ def test_gram_steps_match_lstsq_steps_on_a_skin(monkeypatch):
         _assert_paths_agree(monkeypatch, C, d)
 
 
-def test_gram_steps_match_lstsq_steps_on_random_problems(monkeypatch):
+def test_schur_matches_lawson_hanson_on_random_problems(monkeypatch):
     rng = np.random.default_rng(61)
     for _ in range(40):
         n = int(rng.integers(2, 20))
@@ -135,44 +160,48 @@ def test_gram_steps_match_lstsq_steps_on_random_problems(monkeypatch):
 
 def test_rank_deficient_problems():
     rng = np.random.default_rng(67)
-    # fewer rows than columns: G = C^T C is singular, no Gram step runs
+    # fewer rows than columns: G = C^T C is singular, no inverse is held
     C = rng.normal(size=(5, 8))
     d = rng.normal(size=5)
     res = nnls_solve(C, d)
-    assert res.free_set_solver == "lstsq" and res.converged
+    assert res.free_set_solver == "lawson-hanson" and res.converged
     assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
-    # a repeated column: G[F, F] is singular whenever both copies are free
+    # a repeated column: G is singular
     C = rng.normal(size=(12, 6))
     C[:, 4] = C[:, 1]
     for _ in range(20):
         d = rng.normal(size=12)
         res = nnls_solve(C, d)
-        assert res.converged
+        assert res.free_set_solver == "lawson-hanson" and res.converged
         assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
 
 
-def test_free_step_leaves_a_singular_gram_block_to_lstsq():
-    free = np.ones(2, dtype=bool)
+def test_the_inverse_is_held_only_where_its_rounding_stays_within_tolerance():
     for C, d in (
-        (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0])),  # G[F, F] singular
-        (np.array([[1.0, 1.0], [0.0, 1e-7]]), np.array([0.0, 1.0])),  # x of order 1e7
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0])),  # G singular
+        (np.array([[1.0, 1.0], [0.0, 1e-7]]), np.array([0.0, 1.0])),  # eps |G| |H| about 0.1
     ):
-        G, ctd = C.T @ C, C.T @ d
-        tol = solvers.NNLS_KKT_RTOL * np.max(np.abs(ctd))
-        x, G_next = solvers._free_step(C, d, G, ctd, free, tol)
-        assert G_next is None
-        np.testing.assert_array_equal(x, np.linalg.lstsq(C, d, rcond=None)[0])
+        assert solvers.NnlsSystem(C).inverse_gram is None
+        res = nnls_solve(C, d)
+        assert res.free_set_solver == "lawson-hanson" and res.converged
+        assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
     C = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
     d = np.array([1.0, 2.0, 3.0])
-    x, G_next = solvers._free_step(C, d, C.T @ C, C.T @ d, free, 1e-9)
-    assert G_next is not None
-    np.testing.assert_allclose(x, np.linalg.lstsq(C, d, rcond=None)[0], rtol=1e-14)
+    H = solvers.NnlsSystem(C).inverse_gram
+    np.testing.assert_allclose(H, np.linalg.inv(C.T @ C), rtol=1e-14)
+    res = nnls_solve(C, d)
+    assert res.free_set_solver == "schur" and res.converged
+    np.testing.assert_allclose(res.x, np.linalg.lstsq(C, d, rcond=None)[0], rtol=1e-14)
+    # C = diag(1, s): eps ||G||_1 ||H||_1 = eps / s^2 meets NNLS_KKT_RTOL at s = 1.49e-3
+    for s, held in ((2e-3, True), (1e-3, False)):
+        system = solvers.NnlsSystem(np.diag([1.0, s]))
+        assert (system.inverse_gram is not None) is held
 
 
 @pytest.mark.parametrize("model", ["bc", "love"])
-def test_iteration_cap_returns_the_best_iterate(model):
-    # 8x8 sensing nodes under 12x12 traction cells: block pivoting cycles
-    # until the cap, and its last iterate can be far worse than x = 0
+def test_underdetermined_skins_converge_to_the_reference(model):
+    # 8x8 sensing nodes under 12x12 traction cells: G is singular, and
+    # block pivoting used to cycle here until the iteration cap
     tract = build_regular_grid((-11e-3, -11e-3), 12, 12, 2e-3, 2e-3)
     disp = build_regular_grid((-10.5e-3, -10.5e-3), 8, 8, 3e-3, 3e-3).retag("displacement")
     C = assemble(model, tract, disp, ElastomerParams()).entries
@@ -181,11 +210,11 @@ def test_iteration_cap_returns_the_best_iterate(model):
              for _ in range(2)]
     for d in _noisy_frames(C, tract, specs, rng):
         res = nnls_solve(C, d)
-        assert not res.converged and res.iterations == solvers.NNLS_MAX_ITERATIONS
-        assert res.free_set_solver == "lstsq"
+        assert res.converged and res.iterations < solvers.NNLS_MAX_ITERATIONS
+        assert res.free_set_solver == "lawson-hanson"
         assert np.all(res.x >= 0.0)
         assert res.residual == np.linalg.norm(C @ res.x - d)
-        assert res.residual <= np.linalg.norm(d)
+        assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9)
 
 
 def test_nnls_guards():
@@ -193,6 +222,8 @@ def test_nnls_guards():
         nnls_solve(np.ones((3, 2)), np.ones(4))
     with pytest.raises(InvalidArgumentError):
         nnls_solve(np.array([[np.nan, 0.0]]), np.ones(1))
+    with pytest.raises(InvalidArgumentError):
+        nnls_solve(np.zeros((3, 0)), np.ones(3))
 
 
 def test_system_construction_and_membership():
