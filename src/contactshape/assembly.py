@@ -6,10 +6,13 @@ per traction cell, since a capacitive taxel senses only the normal
 compression of the cover.  Both models give each column per unit
 pressure; ``bc`` lumps a cell's pressure p into the point force p A at
 its center, so its per-unit-force kernel is scaled by the area A = 4ab.
-Assembly runs one loop over the rows (x, y, a, b) of the sensing grid's
-(n, 4) cell array: each fills its matrix row from the chosen model's
-per-pair kernel, called with Python floats once per traction cell, so
-the cost scales with the pair count.
+Assembly walks the node pairs in row-major order in blocks of
+BLOCK_PAIRS: each block gathers its pairs' offsets and cell
+half-extents into arrays, calls the chosen model's array kernel once,
+and writes the result, times each cell's factor (A for ``bc``, 1 for
+``love``), straight into the matrix.  A block may end in the middle of
+a row.  The cost scales with the pair count, and the memory beyond the
+matrix is that of one block, whatever the grid sizes.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
@@ -54,6 +57,13 @@ MODELS = ("bc", "love")
 PSI_MODES = boussinesq.PSI_MODES
 
 DEFAULT_SVD_RTOL = 1e-10
+
+# Node pairs per kernel call.  Small enough that a block's temporaries
+# stay in cache and cost well under a MiB; large enough that NumPy's
+# fixed cost per call is a small share of a block.  A matrix of fewer
+# pairs than a block still pays a whole block's fixed cost, so a larger
+# block flattens the quadratic growth that ``pipeline.benchmark`` fits.
+BLOCK_PAIRS = 1024
 
 # Module-level instrumentation: how many assemblies and factorizations
 # actually ran (cache hits must not bump these).
@@ -113,7 +123,7 @@ def assemble(
     params,
     psi_mode: str = "const",
 ) -> InfluenceMatrix:
-    """Assemble the influence matrix node pair by node pair.
+    """Assemble the influence matrix in blocks of BLOCK_PAIRS node pairs.
 
     Entry (k, l) is the effective normal displacement at sensing node k
     per unit pressure on traction cell l, for either model.
@@ -130,14 +140,22 @@ def assemble(
         kernel = boussinesq.bc_zz_kernel(h, E, psi_mode)
     else:
         kernel = love.love_zz_kernel(h, E, params.poisson_ratio)
-    tract = tract_grid.cells.tolist()
-    disp = disp_grid.cells.tolist()
-    entries = np.empty((len(disp), len(tract)))
+    n_tract = len(tract_grid)
+    # per unit force to per unit pressure: bc's kernel times the cell area
+    factor = tract_grid.areas() if model == "bc" else np.ones(n_tract)
+    # the traction columns continued cyclically, so that the cells of any
+    # block of pairs are one slice, however many rows the block spans
+    tract = [np.resize(col, n_tract + BLOCK_PAIRS) for col in (*tract_grid.cells.T, factor)]
+    nodes = disp_grid.cells[:, :2]
+    pairs = np.arange(BLOCK_PAIRS)
+    entries = np.empty((len(disp_grid), n_tract))
+    flat = entries.reshape(-1)  # pair i is sensing node i // n_tract, cell i % n_tract
     t0 = time.perf_counter()
-    for k, (xk, yk, _, _) in enumerate(disp):
-        entries[k] = [kernel(xk - x, yk - y, a, b) for x, y, a, b in tract]
-    if model == "bc":
-        entries *= tract_grid.areas()  # per unit force to per unit pressure
+    for start in range(0, flat.size, BLOCK_PAIRS):
+        stop = min(start + BLOCK_PAIRS, flat.size)
+        node = nodes[(start + pairs[: stop - start]) // n_tract]
+        x, y, a, b, f = (col[start % n_tract :][: stop - start] for col in tract)
+        np.multiply(kernel(node[:, 0] - x, node[:, 1] - y, a, b), f, out=flat[start:stop])
     dt = time.perf_counter() - t0
     _counters["assemblies"] += 1
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)

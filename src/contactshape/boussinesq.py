@@ -21,8 +21,12 @@ the exact value in the far field.
 
 Every public function checks its numeric arguments and raises
 InvalidArgumentError for a non-finite value, a non-positive modulus,
-cover thickness or cell area; ``bc_zz_kernel`` hands assembly's
-per-pair loop the unchecked normal-normal form.
+cover thickness or cell area; ``bc_zz_kernel`` hands assembly the
+unchecked normal-normal form, which it calls on blocks of node pairs.
+The normal-normal path (``_exact_zz``, the spread-load candidate and the
+switch between them) is NumPy array code with the branches as masks;
+the scalar public functions are 0-d calls of it, so a matrix entry and
+the public function for its pair agree bitwise.
 """
 
 from __future__ import annotations
@@ -57,18 +61,19 @@ def require_incompressible(nu: float) -> None:
         )
 
 
-def psi(x: float, mode: str = "const") -> float:
+def psi(x, mode: str = "const"):
     """Depth decay factor Psi of the spread-load solution.
 
     ``exact`` evaluates Psi(x) = (0.2431 x - 0.1814) / x for x > 0;
     ``const`` uses the flat approximation 0.25 (Psi tends to 0.2431 for
     large x, and 0.25 is the convenient round value used for design).
+    ``x`` may be an array, whose entries must all be valid.
     """
     if mode == "const":
         return PSI_CONST
     if mode == "exact":
-        if not (0.0 < x < math.inf):
-            raise InvalidArgumentError("psi exact mode needs a finite x > 0, got %r" % x)
+        if not np.all((0.0 < x) & (x < math.inf)):
+            raise InvalidArgumentError("psi exact mode needs a finite x > 0, got %r" % (x,))
         return (PSI_SLOPE * x - PSI_OFFSET) / x
     raise InvalidArgumentError("psi mode must be one of %s" % (PSI_MODES,))
 
@@ -117,20 +122,20 @@ def bc_point_displacement(force, offset, young_modulus: float) -> np.ndarray:
     return g @ force
 
 
-def _exact_zz(s: float, h_c: float, young_modulus: float) -> float:
-    """Exact normal-normal effective coefficient at squared in-plane distance s > 0.
+def _exact_zz(s, h_c: float, young_modulus: float):
+    """Exact normal-normal effective coefficient at squared in-plane distance
+    s >= 0 (an array or a scalar); +inf at s = 0.
 
     k (1/sqrt(s) - (s + 2h^2) / (s + h^2)^(3/2)) = k (1 - (1 + 2u)(1 + u)^(-3/2)) / sqrt(s)
     with u = h^2 / s.  The two terms nearly cancel far from the load; taking
     the bracket as -expm1(log1p(2u) - 1.5 log1p(u)) keeps its digits there.
     """
     k = 3.0 / (4.0 * math.pi * young_modulus)
-    u = h_c * h_c / s
-    if u > 1e300:
-        # s below about 1e-300 h^2, where 2u can overflow; the depth term
-        # is then far below one ulp of the surface term
-        return k * (1.0 / math.sqrt(s))
-    return k * -math.expm1(math.log1p(2.0 * u) - 1.5 * math.log1p(u)) / math.sqrt(s)
+    with np.errstate(divide="ignore", over="ignore"):
+        # u is capped at 1e300 (s below about 1e-300 h^2, s = 0 too) so that 2u
+        # cannot overflow; the bracket is then 1 - O(u^-1/2), exactly 1.0
+        u = np.minimum(np.divide(h_c * h_c, s), 1e300)
+        return -k * np.expm1(np.log1p(2.0 * u) - 1.5 * np.log1p(u)) / np.sqrt(s)
 
 
 def bc_effective_block(x: float, y: float, h_c: float, young_modulus: float) -> np.ndarray:
@@ -161,8 +166,8 @@ def spread_radius(cell_area: float) -> float:
     return _spread_radius(cell_area)
 
 
-def _spread_radius(cell_area: float) -> float:
-    return math.sqrt(1.5 * cell_area / math.pi)
+def _spread_radius(cell_area):
+    return np.sqrt(cell_area * (1.5 / math.pi))
 
 
 def bc_approx_coefficients(
@@ -182,17 +187,17 @@ def bc_approx_coefficients(
 def _approx_coefficients(cell_area, h_c, young_modulus, psi_mode):
     z0 = _spread_radius(cell_area)
     p = psi(h_c / z0, psi_mode)
-    base = 9.0 / (4.0 * math.pi * young_modulus * z0) * p
+    base = 9.0 / (4.0 * math.pi * young_modulus) * p / z0
     return (base, 2.0 * base)
 
 
-def _resolved_coefficient(exact: float, approx: float) -> float:
-    """Pick the candidate with the smaller magnitude.
+def _resolved_coefficient(exact, approx):
+    """Pick the candidate with the smaller magnitude, entry by entry.
 
     Continuous switch between the approximate value near the axis and
     the exact value in the far field; an inf sentinel always loses.
     """
-    return exact if abs(exact) <= abs(approx) else approx
+    return np.where(abs(exact) <= abs(approx), exact, approx)[()]
 
 
 def bc_resolved_block(
@@ -240,15 +245,14 @@ def bc_zz_kernel(h_c: float, young_modulus: float, psi_mode: str = "const"):
 
     h_c and the modulus are checked here, once; the kernel itself checks
     nothing but the psi mode, so it is fed finite offsets and positive
-    half-extents (a validated grid's cells).
+    half-extents (a validated grid's cells), as scalars or as
+    equal-length arrays holding one node pair per entry.
     """
     _check_layer(h_c, young_modulus)
     return lambda x, y, a, b: _resolved_zz(x, y, 4.0 * a * b, h_c, young_modulus, psi_mode)
 
 
 def _resolved_zz(x, y, cell_area, h_c, young_modulus, psi_mode):
+    # on the axis (s = 0) the exact coefficient is +inf, so cn wins
     _, cn = _approx_coefficients(cell_area, h_c, young_modulus, psi_mode)
-    s = x * x + y * y
-    if s == 0.0:
-        return cn
-    return _resolved_coefficient(_exact_zz(s, h_c, young_modulus), cn)
+    return _resolved_coefficient(_exact_zz(x * x + y * y, h_c, young_modulus), cn)

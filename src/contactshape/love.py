@@ -34,12 +34,17 @@ z >= 0 including cell edges and corners.
 
 Each component has one implementation (``_ux``, which gives uy with
 the axes swapped, and ``_uz``), valid for every z >= 0; at z = 0 the
-terms carrying an explicit factor z are skipped rather than evaluated.
-The effective influence of a cell on a sensing node is that same form
-at the surface minus its value at depth h_c, per unit pressure.
+terms carrying an explicit factor z vanish.  Both are NumPy array
+functions that broadcast over the cell and the point, with the four
+corner terms of a bracket evaluated in one call; the scalar public
+functions are 0-d calls of that same code, so a matrix entry and the
+public function for its pair agree bitwise.  The effective influence of
+a cell on a sensing node is that same form at the surface minus its
+value at depth h_c, per unit pressure.
 
 Every public function checks its numeric arguments; ``love_zz_kernel``
-hands assembly's per-pair loop the unchecked normal form.
+hands assembly the unchecked normal form, which it calls on blocks of
+node pairs.
 """
 
 from __future__ import annotations
@@ -61,70 +66,78 @@ ORACLE_Z_FLOOR = 1e-9
 _4PI = 4.0 * math.pi
 
 
-def _add_sqrt(u: float, s: float) -> float:
-    """u + sqrt(u^2 + s) without cancellation for u < 0 (s >= 0)."""
-    r = math.sqrt(u * u + s)
-    if u >= 0.0:
-        return u + r
-    return s / (r - u)
+def _add_root(u, r, s):
+    """u + r for r = sqrt(u^2 + s), s >= 0, without cancellation for u < 0."""
+    return np.where(u >= 0.0, u + r, s / (r - u))
 
 
-def _term(u: float, v: float, dy: float, scale: float) -> float:
+def _term(u, v, dy, tol):
     """J and L of the module docstring in one antiderivative, z and c in
-    swapped roles: J(c, dy, z) is _term(z, |c|, dy), L(c, dy, z) is _term(c, z, dy)."""
-    den = math.sqrt(u * u + dy * dy + v * v) + math.sqrt(u * u + v * v)
-    psi = dy / den if den > 0.0 else 0.0
-    t = 0.0
-    if abs(dy) > EDGE_WEIGHT_TOL * scale:
-        t += dy * (math.log(_add_sqrt(u, dy * dy + v * v)) - 1.0)
-    if abs(u) > EDGE_WEIGHT_TOL * scale:
-        t += u * math.log((1.0 + psi) / (1.0 - psi))
-    if v != 0.0:
-        t += 2.0 * v * math.atan2(v * psi, _add_sqrt(u, v * v))
-    return t
+    swapped roles: J(c, dy, z) is _term(z, |c|, dy), L(c, dy, z) is _term(c, z, dy).
+
+    Broadcasts over its arguments; a weight at or below ``tol`` makes its
+    term the removable limit, zero.  The branches np.where discards may
+    divide by zero, so callers run it under np.errstate.
+    """
+    uu = u * u
+    vv = v * v
+    s = dy * dy + vv
+    r = np.sqrt(uu + s)
+    beta = np.sqrt(uu + vv)
+    den = r + beta
+    psi = np.where(den > 0.0, dy / den, 0.0)
+    t = np.where(abs(dy) > tol, dy * (np.log(_add_root(u, r, s)) - 1.0), 0.0)
+    t = t + np.where(abs(u) > tol, u * np.log((1.0 + psi) / (1.0 - psi)), 0.0)
+    # v times a bounded arctangent: zero at v = 0 without a guard
+    return t + 2.0 * v * np.arctan2(v * psi, _add_root(u, beta, vv))
 
 
-def _ux(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -> float:
+# The two edges of the cell along each axis, x' = +-a (y' = +-b): each
+# component brackets its terms over c = +-a - x and dy = +-b - y.
+_EDGES = np.array([1.0, -1.0])
+
+
+def _corners(a, b, x, y):
+    """(c, dy) shaped (2, 1, ...) and (1, 2, ...): entry [i, j] of an
+    expression in both is its value at the cell corner (c_i, dy_j)."""
+    c = np.multiply.outer(_EDGES, a) - x
+    dy = np.multiply.outer(_EDGES, b) - y
+    return c[:, None], dy[None]
+
+
+def _bracket(f):
+    """Sum over the corners of f[i, j] with sign +1 for i == j, -1 otherwise."""
+    d = f[0] - f[1]
+    return d[0] - d[1]
+
+
+def _ux(a, b, x, y, z, E, nu):
     """x displacement per unit pressure; uy is _ux(b, a, y, x, ...).
 
-    The bracketed (J2 - J1) difference plus the z-weighted log term.
+    The bracketed J difference plus the z-weighted log term, which
+    vanishes at z = 0.  Broadcasts over a, b, x, y and z.
     """
-    scale = a + b + abs(x) + abs(y) + z
-    c1 = a - x
-    c2 = -(a + x)
-    val_j = 0.0
-    val_log = 0.0
-    use_log = z > EDGE_WEIGHT_TOL * scale
-    for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        val_j += sgn * (_term(z, abs(c2), dy, scale) - _term(z, abs(c1), dy, scale))
-        if use_log:
-            num = _add_sqrt(dy, c2 * c2 + z * z)
-            den = _add_sqrt(dy, c1 * c1 + z * z)
-            val_log += sgn * math.log(num / den)
-    inv_g = 2.0 * (1.0 + nu) / E
-    return -(1.0 / _4PI) * ((1.0 - 2.0 * nu) * inv_g * val_j + inv_g * z * val_log)
+    tol = EDGE_WEIGHT_TOL * (a + b + abs(x) + abs(y) + z)
+    c, dy = _corners(a, b, x, y)
+    s = c * c + z * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = _term(z, abs(c), dy, tol)
+        log = np.where(z > tol, z * np.log(_add_root(dy, np.sqrt(dy * dy + s), s)), 0.0)
+    return (2.0 * (1.0 + nu) / E) / _4PI * _bracket((1.0 - 2.0 * nu) * j + log)
 
 
-def _uz(a: float, b: float, x: float, y: float, z: float, E: float, nu: float) -> float:
+def _uz(a, b, x, y, z, E, nu):
     """z displacement per unit pressure.
 
-    The bracketed (L1 - L2) difference plus the z-weighted arctangent sum.
+    The bracketed L difference plus the z-weighted arctangent term, zero
+    at z = 0.  Broadcasts over a, b, x, y and z.
     """
-    scale = a + b + abs(x) + abs(y) + z
-    c1 = a - x
-    c2 = -(a + x)
-    val_l = 0.0
-    val_arc = 0.0
-    for dy, sgn in ((b - y, 1.0), (-b - y, -1.0)):
-        val_l += sgn * (_term(c1, z, dy, scale) - _term(c2, z, dy, scale))
-        if z != 0.0:
-            r1 = math.sqrt(c1 * c1 + dy * dy + z * z)
-            r2 = math.sqrt(c2 * c2 + dy * dy + z * z)
-            val_arc += sgn * (
-                math.atan2((a - x) * dy, z * r1) + math.atan2((a + x) * dy, z * r2)
-            )
-    inv_g = 2.0 * (1.0 + nu) / E
-    return (1.0 / _4PI) * (2.0 * (1.0 - nu) * inv_g * val_l + inv_g * z * val_arc)
+    tol = EDGE_WEIGHT_TOL * (a + b + abs(x) + abs(y) + z)
+    c, dy = _corners(a, b, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell = _term(c, z, dy, tol)
+    arc = np.arctan2(c * dy, z * np.sqrt(c * c + dy * dy + z * z))
+    return (2.0 * (1.0 + nu) / E) / _4PI * _bracket(2.0 * (1.0 - nu) * ell + z * arc)
 
 
 def _check_cell_point(cell, pt) -> tuple[float, float, float, float, float]:
@@ -190,7 +203,8 @@ def love_effective_zz(
 def love_zz_kernel(h_c: float, young_modulus: float, poisson_ratio: float):
     """``love_effective_zz`` as kernel(x, y, a, b), which checks nothing:
     h_c and the material constants are checked here, once, and assembly
-    feeds it a validated grid's finite offsets and positive half-extents."""
+    feeds it a validated grid's finite offsets and positive half-extents,
+    as scalars or as equal-length arrays holding one node pair per entry."""
     check_positive("cover thickness", h_c)
     check_positive("young modulus", young_modulus)
     check_finite("poisson ratio", poisson_ratio)

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -18,15 +19,17 @@ from contactshape import (
     assemble,
     bc_resolved_zz,
     build_regular_grid,
+    grid_from_taxel_layout,
     load_inverse,
     load_matrix,
     love_effective_column,
+    love_effective_zz,
     precompute_inverse,
     save_inverse,
     save_matrix,
 )
 from contactshape import assembly
-from contactshape.assembly import counters, inverse_key, matrix_key, reset_counters
+from contactshape.assembly import BLOCK_PAIRS, counters, inverse_key, matrix_key, reset_counters
 
 
 @pytest.fixture
@@ -64,6 +67,67 @@ def test_love_normal_entries_match_column(small_grids, params):
                 (ck[0] - cl[0], ck[1] - cl[1]), (cl[2], cl[3]), h, params
             )[2]
             assert mat.entries[k, l] == pytest.approx(want, rel=1e-15)
+
+
+def _jittered_layout(kind):
+    """63 taxels on a 9 x 7 lattice, each moved by up to 0.3 mm."""
+    rng = np.random.default_rng(17)
+    lattice = np.array([(i * 2.5e-3, j * 2.1e-3) for i in range(9) for j in range(7)])
+    return grid_from_taxel_layout(lattice + rng.uniform(-3e-4, 3e-4, lattice.shape), 2e-6, kind)
+
+
+# (traction grid, displacement grid): pair counts that are not a multiple
+# of BLOCK_PAIRS, over rows shorter and longer than a block
+BLOCK_EDGE_LAYOUTS = {
+    "anisotropic shifted lattices": lambda: (
+        build_regular_grid((-3.1e-3, 1.7e-3), 37, 23, 1.3e-3, 0.9e-3),
+        build_regular_grid((4e-4, -2.2e-3), 11, 7, 2.1e-3, 1.6e-3, kind="displacement"),
+    ),
+    "rows longer than a block": lambda: (
+        build_regular_grid((0.0, 0.0), 41, 29, 1.1e-3, 1.7e-3),
+        build_regular_grid((2e-3, 3e-3), 3, 1, 5e-3, 5e-3, kind="displacement"),
+    ),
+    "jittered taxel layout": lambda: (_jittered_layout("traction"), _jittered_layout("displacement")),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BLOCK_EDGE_LAYOUTS))
+@pytest.mark.parametrize("model, mode", [("love", "const"), ("bc", "const"), ("bc", "exact")])
+def test_block_edges_match_the_public_kernels_bitwise(layout, model, mode, params):
+    """The first and last pair of every block of BLOCK_PAIRS pairs, taken
+    in row-major order, equal the public scalar function for that pair."""
+    tract, disp = BLOCK_EDGE_LAYOUTS[layout]()
+    entries = assemble(model, tract, disp, params, psi_mode=mode).entries
+    n = entries.size
+    assert n % BLOCK_PAIRS and n > 2 * BLOCK_PAIRS
+    h, E = params.nominal_thickness, params.young_modulus
+    for start in range(0, n, BLOCK_PAIRS):
+        for i in (start, min(start + BLOCK_PAIRS, n) - 1):
+            k, l = divmod(i, len(tract))
+            xk, yk, _, _ = disp.cells[k]
+            x, y, a, b = tract.cells[l]
+            if model == "love":
+                want = love_effective_zz(xk - x, yk - y, a, b, h, E, params.poisson_ratio)
+            else:
+                area = 4.0 * a * b
+                want = area * bc_resolved_zz(xk - x, yk - y, area, h, E, mode)
+            assert entries.flat[i] == want, (i, k, l)
+
+
+@pytest.mark.parametrize("model", ["bc", "love"])
+def test_assembly_holds_one_block_beyond_the_matrix(model, params):
+    """Assembly's memory beyond the matrix is one block's temporaries,
+    whatever the grid sizes: evaluating all 360,000 pairs here at once
+    would hold tens of MiB more."""
+    tract = build_regular_grid((0.0, 0.0), 30, 30, 1e-3, 1e-3)
+    disp = build_regular_grid((5e-4, 5e-4), 20, 20, 1.5e-3, 1.5e-3, kind="displacement")
+    tracemalloc.start()
+    try:
+        entries = assemble(model, tract, disp, params).entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= entries.nbytes + 4 * 2**20
 
 
 def test_matrix_symmetry_same_grid(small_grids, params):
