@@ -37,10 +37,11 @@ the axes swapped, and ``_uz``), valid for every z >= 0; at z = 0 the
 terms carrying an explicit factor z vanish.  Both are NumPy array
 functions that broadcast over the cell and the point, with the four
 corner terms of a bracket evaluated in one call; the scalar public
-functions are 0-d calls of that same code, so a matrix entry and the
-public function for its pair agree bitwise.  The effective influence of
-a cell on a sensing node is that same form at the surface minus its
-value at depth h_c, per unit pressure.
+functions are 0-d calls of that same code (ux and uy one call, on the
+cell and point stacked with their axes swapped), so a matrix entry and
+the public function for its pair agree bitwise.  The effective
+influence of a cell on a sensing node is that same form at the surface
+minus its value at depth h_c, per unit pressure.
 
 Every public function checks its numeric arguments; ``love_zz_kernel``
 hands assembly the unchecked normal form, which it calls on blocks of
@@ -166,9 +167,8 @@ def love_displacement(p: float, cell, pt, params) -> np.ndarray:
     a, b, x, y, z = _check_cell_point(cell, pt)
     E = params.young_modulus
     nu = params.poisson_ratio
-    return p * np.array(
-        [_ux(a, b, x, y, z, E, nu), _ux(b, a, y, x, z, E, nu), _uz(a, b, x, y, z, E, nu)]
-    )
+    ab, xy = np.array([a, b]), np.array([x, y])
+    return p * np.append(_ux(ab, ab[::-1], xy, xy[::-1], z, E, nu), _uz(a, b, x, y, z, E, nu))
 
 
 def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray:
@@ -183,9 +183,9 @@ def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray
     check_positive("cover thickness", h_c)
     E = params.young_modulus
     nu = params.poisson_ratio
-    cx = _ux(a, b, x, y, 0.0, E, nu) - _ux(a, b, x, y, h_c, E, nu)
-    cy = _ux(b, a, y, x, 0.0, E, nu) - _ux(b, a, y, x, h_c, E, nu)
-    return np.array([cx, cy, love_effective_zz(x, y, a, b, h_c, E, nu)])
+    ab, xy = np.array([a, b]), np.array([x, y])
+    cxy = _ux(ab, ab[::-1], xy, xy[::-1], 0.0, E, nu) - _ux(ab, ab[::-1], xy, xy[::-1], h_c, E, nu)
+    return np.append(cxy, love_effective_zz(x, y, a, b, h_c, E, nu))
 
 
 def love_effective_zz(

@@ -13,7 +13,9 @@ algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
   which cannot cycle on a positive definite G = C^T C (Judice & Pires,
   Comput. Oper. Res. 21(5), 1994).  Each step is a Schur-complement
   solve on the active set A alone: from the unconstrained x_u = H C^T d,
-  H[A, A] y_A = -x_u[A] gives the dual y_A, and x = x_u + H[:, A] y_A.
+  H[A, A] y_A = -x_u[A] gives the dual y_A, and x = x_u + H[A, :]^T y_A
+  (H is symmetric), so a step reads only the contiguous rows H[A, :].
+  The residual ||C max(x, 0) - d|| is formed after the steps, not in them.
 - "lawson-hanson": otherwise (fewer rows than columns, or G singular or
   too ill-conditioned), where pivoting may cycle, the Lawson-Hanson
   active-set method (Solving Least Squares Problems, 1974, ch. 23),
@@ -102,29 +104,23 @@ class NnlsSystem:
 
 
 def _block_pivoting(C, H, d, ctd, tol, limit):
-    """Block principal pivoting with Schur steps on the active set, for
-    at most ``limit`` iterations; see ``nnls_solve`` for what it returns
-    at that cap."""
+    """Block principal pivoting with Schur steps on the active rows of
+    H, for at most ``limit`` iterations; see ``nnls_solve`` for what it
+    returns at that cap.  The iterates are kept, and the residual is
+    formed after the loop: for the last, or at the cap for each."""
     n = C.shape[1]
     x_u = H @ ctd
     free = np.ones(n, dtype=bool)
     x, y = x_u, np.zeros(n)
-    best = (np.zeros(n), float(np.linalg.norm(d)))
+    iterates = [x]
     best_infeasible = n + 1
     slack = NNLS_BACKUP_TRIGGER
     iterations = 0
     converged = False
-    while True:
-        residual = float(np.linalg.norm(C @ np.maximum(x, 0.0) - d))
-        if residual < best[1]:
-            best = (x, residual)
-        if iterations == limit:
-            break
+    while iterations < limit:
         iterations += 1
         xtol = 1e-12 * max(np.max(np.abs(x)), 1.0)
-        bad_x = free & (x < -xtol)
-        bad_y = (~free) & (y < -tol)
-        bad = bad_x | bad_y
+        bad = (free & (x < -xtol)) | (~free & (y < -tol))
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             converged = True
@@ -141,16 +137,20 @@ def _block_pivoting(C, H, d, ctd, tol, limit):
                 bad = np.zeros(n, dtype=bool)
                 bad[idx] = True
         free ^= bad
-        active = ~free
+        active = np.flatnonzero(~free)
         y = np.zeros(n)
         x = x_u
-        if active.any():
-            y[active] = np.linalg.solve(H[np.ix_(active, active)], -x_u[active])
-            x = x_u + H[:, active] @ y[active]
+        if active.size:
+            rows = H[active]
+            y[active] = np.linalg.solve(rows[:, active], -x_u[active])
+            x = x_u + y[active] @ rows
             x[active] = 0.0
-    if not converged:
-        x, residual = best
-    return x, residual, iterations, converged
+        iterates.append(x)
+    # the last iterate, or at the cap the lowest-residual one (x = 0 wins ties)
+    candidates = iterates[-1:] if converged else [np.zeros(n)] + iterates
+    residuals = [float(np.linalg.norm(C @ np.maximum(x, 0.0) - d)) for x in candidates]
+    best = int(np.argmin(residuals))
+    return candidates[best], residuals[best], iterations, converged
 
 
 def _lawson_hanson(C, d, ctd, tol, limit):

@@ -110,6 +110,28 @@ def test_lawson_hanson_at_the_cap_returns_its_last_iterate():
     assert res.converged and res.free_set_solver == "lawson-hanson" and res.iterations > 5
 
 
+def test_schur_steps_at_the_cap_return_the_lowest_residual_iterate():
+    # correlated columns: the residuals of iterates 1 and 2 exceed ||d||,
+    # and iterate 4's exceeds iterate 3's, so the last is not the best
+    rng = np.random.default_rng(23)
+    C = rng.normal(size=(10, 8)) + rng.normal(size=(10, 1))
+    d = rng.normal(size=10)
+    system = solvers.NnlsSystem(C)
+    ctd = C.T @ d
+    tol = solvers.NNLS_KKT_RTOL * np.max(np.abs(ctd))
+    res = nnls_solve(system, d)
+    assert res.converged and res.free_set_solver == "schur" and res.iterations == 6
+    residuals = [np.linalg.norm(d)]
+    for limit in range(1, res.iterations):
+        x, residual, iterations, converged = solvers._block_pivoting(
+            C, system.inverse_gram, d, ctd, tol, limit)
+        assert iterations == limit and not converged
+        assert residual == np.linalg.norm(C @ np.maximum(x, 0.0) - d)
+        residuals.append(residual)
+    # from ||d|| (x = 0) on, a higher limit never returns a higher residual
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+
 def _noisy_frames(C, tract, specs, rng):
     """C q plus Gaussian noise of 1e-3 of each frame's peak, one row per probe."""
     d = np.array([C @ (synth_contact(s, tract).values * tract.areas()) for s in specs])
@@ -146,6 +168,28 @@ def test_schur_matches_lawson_hanson_on_a_skin(monkeypatch):
     ]
     for d in _noisy_frames(C, tract, specs, rng):
         _assert_paths_agree(monkeypatch, C, d)
+
+
+def test_schur_steps_solve_the_least_squares_on_their_support():
+    # the 24x24 bc skin again, checked against lstsq on the columns the
+    # solution keeps positive and against the KKT certificate
+    tract = build_regular_grid((-23e-3, -23e-3), 24, 24, 2e-3, 2e-3)
+    C = assemble("bc", tract, tract.retag("displacement"), ElastomerParams()).entries
+    system = solvers.NnlsSystem(C)
+    rng = np.random.default_rng(13)
+    specs = [IndenterSpec(shape, 8e-3, (cx, 3e-3), force)
+             for shape, cx, force in (("hemisphere", -5e-3, 0.9), ("cylinder", 0.0, 1.5),
+                                      ("hemisphere", 6e-3, 2.2))]
+    for d in _noisy_frames(C, tract, specs, rng):
+        res = nnls_solve(system, d)
+        assert res.free_set_solver == "schur" and res.converged
+        supp = res.x > 0.0
+        ref = np.zeros_like(res.x)
+        ref[supp] = np.linalg.lstsq(C[:, supp], d, rcond=None)[0]
+        assert np.linalg.norm(res.x - ref) <= 1e-12 * np.linalg.norm(ref)
+        g = C.T @ (C @ res.x - d)
+        assert res.kkt_tolerance == solvers.NNLS_KKT_RTOL * np.max(np.abs(C.T @ d))
+        assert np.all(g >= -res.kkt_tolerance) and np.all(np.abs(g[supp]) <= res.kkt_tolerance)
 
 
 def test_schur_matches_lawson_hanson_on_random_problems(monkeypatch):
