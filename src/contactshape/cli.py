@@ -197,7 +197,6 @@ def _cmd_reconstruct(args):
     sources = ", ".join(
         "%s %s" % (what, "from " + source if source in ("cache", "memory") else source)
         for what, source in (("matrix", report.matrix_source), ("inverse", report.inverse_source))
-        if source is not None
     )
     print(
         "%s/%s solve: residual %.3e%s, online %.2f ms (%s)"

@@ -261,8 +261,16 @@ def write_field(fv: FieldVector, path) -> None:
 
 
 def read_field(path, grid: Grid) -> FieldVector:
-    """Read a plot-data file back; record order must match the grid."""
-    vals = read_records(path, "field", None, None, (3,), lambda f: float(f[2]))
+    """Read a plot-data file back; record order must match the grid.  A
+    value that is not a finite number is a bad record."""
+
+    def parse(fields):
+        value = float(fields[2])
+        if not math.isfinite(value):
+            raise ValueError("not finite")
+        return value
+
+    vals = read_records(path, "field", None, None, (3,), parse)
     if len(vals) != len(grid):
         raise InvalidArgumentError(
             "field file %s has %d records for a grid of %d cells" % (path, len(vals), len(grid))

@@ -96,14 +96,18 @@ class SolveReport:
 
     ``tractions`` holds one pressure per traction cell, in Pa, whichever
     model ran.  ``matrix_source`` is "memory", "cache" or "assembled";
-    ``inverse_source`` is "memory", "cache" or "factorized" on ``free``
-    and None on ``nonneg``, which uses no inverse.  "memory" is the
-    process's ``memory_tier``, which a ``cache_dir`` puts in front of
-    the disk: a memory hit opens no file and leaves the cache dir
+    ``inverse_source`` says where the mode's solve state came from: the
+    truncated-SVD pseudo-inverse on ``free`` ("memory", "cache" or
+    "factorized"), the ``solvers.NnlsSystem`` on ``nonneg`` ("memory"
+    or "factorized"; it is never saved to disk), which holds
+    (C^T C)^-1 only when ``free_set_solver`` is "schur".  "memory" is
+    the process's ``memory_tier``, which a ``cache_dir`` puts in front
+    of the disk: a memory hit opens no file and leaves the cache dir
     untouched.  Each time in ``timings_ms`` is named for what it
     measured: ``assembly_ms`` or ``matrix_load_ms`` (from memory or
-    disk), then on ``free`` ``inversion_ms`` (the SVD) or
-    ``inverse_load_ms``, and ``online_ms``.  ``singular_value_range``
+    disk), ``inversion_ms`` (forming the solve state) or
+    ``inverse_load_ms``, and ``online_ms``, the solve alone, on both
+    modes.  ``singular_value_range``
     is (smallest, largest) of the singular values the truncated SVD
     kept on ``free`` (None on ``nonneg``, or when it kept none).  On
     ``nonneg``, ``iterations`` counts the NNLS iterations,
@@ -126,7 +130,7 @@ class SolveReport:
     rank: int | None  # truncated SVD rank; None on ``nonneg``
     timings_ms: dict
     matrix_source: str
-    inverse_source: str | None
+    inverse_source: str
     converged: bool = True
     iterations: int | None = None
     free_set_solver: str | None = None
@@ -256,13 +260,13 @@ def reconstruct(
     """Recover cell pressures (Pa) from a measured displacement field.
 
     ``free`` inverts through the truncated-SVD pseudo-inverse; ``nonneg``
-    solves the same least-squares problem under Q >= 0.  With a
-    ``cache_dir``, the matrix and (on ``free``) its inverse operator come
-    from ``memory_tier`` or from there when either holds them, and are
-    saved there when neither does; the matrix and, on ``nonneg``, its
-    ``solvers.NnlsSystem`` (with (C^T C)^-1 where the solves use it)
-    are held in memory from then on, so a stream of frames reads no
-    file and inverts nothing after its first frame.
+    solves the same least-squares problem under Q >= 0 on a
+    ``solvers.NnlsSystem`` (with (C^T C)^-1 where the solves use it).
+    With a ``cache_dir``, the matrix and (on ``free``) its inverse
+    operator come from ``memory_tier`` or from there when either holds
+    them, and are saved there when neither does; the matrix and the
+    mode's solve state are held in memory from then on, so a stream of
+    frames reads no file and inverts nothing after its first frame.
     """
     if constraint not in CONSTRAINT_MODES:
         raise InvalidArgumentError(
@@ -273,58 +277,50 @@ def reconstruct(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
     )
     timings = {("assembly_ms" if mat_source is None else "matrix_load_ms"): 1e3 * seconds}
-    converged, iterations, free_set_solver = True, None, None
-    kkt_tolerance = active_set_size = singular_value_range = None
     if constraint == "free":
-        op, inverse_source, seconds = _obtain(
+        state, source, seconds = _obtain(
             key,
             "inverse",
             lambda: assembly.precompute_inverse(mat),
             lambda: assembly.load_inverse(cache_dir, mat),
             lambda op: assembly.save_inverse(op, mat, cache_dir),
         )
-        timings["inversion_ms" if inverse_source is None else "inverse_load_ms"] = 1e3 * seconds
-        inverse_source = inverse_source or "factorized"
-        t0 = time.perf_counter()
-        q = assembly.apply_inverse(op, dv)
-        timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
-        rank = op.rank
-        if rank:
-            kept = op.singular_values[:rank]
-            singular_value_range = (float(kept[-1]), float(kept[0]))
+        solve = assembly.apply_inverse
     else:
-        t0 = time.perf_counter()
-        # with a cache, the NNLS system is formed once per matrix and held
-        system = mat.entries
-        if key is not None:
-            system = _obtain(key, "nnls", lambda: solvers.NnlsSystem(mat.entries))[0]
-        res = solvers.nnls_solve(system, dv)
-        timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
-        q = res.x
-        rank = None
-        inverse_source = None
-        converged, iterations, free_set_solver = res.converged, res.iterations, res.free_set_solver
-        kkt_tolerance = res.kkt_tolerance
-        active_set_size = int(np.count_nonzero(q > 0.0))
+        state, source, seconds = _obtain(key, "nnls", lambda: solvers.NnlsSystem(mat.entries))
+        solve = solvers.nnls_solve
+    timings["inversion_ms" if source is None else "inverse_load_ms"] = 1e3 * seconds
+    t0 = time.perf_counter()
+    solved = solve(state, dv)
+    timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
+    if constraint == "free":
+        q, kept = solved, state.singular_values[: state.rank]
+        mode_fields = {
+            "rank": state.rank,
+            "singular_value_range": (float(kept[-1]), float(kept[0])) if state.rank else None,
+        }
+    else:
+        q = solved.x
+        mode_fields = {
+            "rank": None,
+            "converged": solved.converged,
+            "iterations": solved.iterations,
+            "free_set_solver": solved.free_set_solver,
+            "kkt_tolerance": solved.kkt_tolerance,
+            "active_set_size": int(np.count_nonzero(q > 0.0)),
+        }
     recon = mat.entries @ q
-    residual = float(np.linalg.norm(recon - dv))
     return SolveReport(
-        FieldVector(q, tract_grid),
-        recon,
-        residual,
-        model,
-        constraint,
-        psi_mode,
-        rank,
-        timings,
-        mat_source or "assembled",
-        inverse_source,
-        converged,
-        iterations,
-        free_set_solver,
-        kkt_tolerance,
-        active_set_size,
-        singular_value_range,
+        tractions=FieldVector(q, tract_grid),
+        reconstructed_displacements=recon,
+        residual_norm=float(np.linalg.norm(recon - dv)),
+        model=model,
+        constraint_mode=constraint,
+        psi_mode=psi_mode,
+        timings_ms=timings,
+        matrix_source=mat_source or "assembled",
+        inverse_source=source or "factorized",
+        **mode_fields,
     )
 
 
@@ -456,13 +452,15 @@ def benchmark(
 
     Reported times are medians over the repetitions; the exponent is the
     least-squares slope of log(time) against log(cells), so at least two
-    distinct sizes are needed.
+    distinct sizes are needed, and at least one model, each named once.
     """
     check_count("repetitions", repetitions)
     if repetitions < 1:
         raise InvalidArgumentError("repetitions must be positive")
     if len(set(sizes)) < 2:
         raise InvalidArgumentError("benchmark needs at least two distinct sizes, got %s" % (sizes,))
+    if not models or len(set(models)) < len(models):
+        raise InvalidArgumentError("benchmark needs each model once, got %s" % (models,))
     params = params or ElastomerParams()
     grids = []
     for n in sizes:

@@ -431,6 +431,14 @@ def test_benchmark_bad_sizes_are_one_error_line(sizes, capsys):
     single_error_line(err)
 
 
+@pytest.mark.parametrize("models", ["bc,bc", "love,bc,love"])
+def test_benchmark_repeated_models_are_one_error_line(models, capsys):
+    code, out, err = run(["benchmark", "--sizes", "25,100", "--models", models], capsys)
+    assert code == 1
+    assert "exponent" not in out
+    single_error_line(err)
+
+
 # record fields: index, x, y, a, b
 @pytest.mark.parametrize("field,value", [(1, "nan"), (2, "inf"), (3, "-Infinity"), (4, "inf")])
 def test_reconstruct_rejects_non_finite_grid_file(grid_file, tmp_path, capsys, field, value):
@@ -452,6 +460,22 @@ def test_reconstruct_rejects_non_finite_grid_file(grid_file, tmp_path, capsys, f
         )
         assert code == 1 and out == ""
         single_error_line(err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_field_files_are_a_bad_record(grid_file, tmp_path, capsys, value):
+    field = tmp_path / "f.dat"
+    field.write_text("".join("0 0 1e-6\n" for _ in range(8)) + "0 0 %s\n" % value)
+    tract = ["--tract-grid", str(grid_file)]
+    for argv in (
+        ["reconstruct", *tract, "--disp-grid", str(grid_file), "--displacements", str(field)],
+        ["resample", *tract, "--new-grid", str(grid_file), "--tractions", str(field),
+         "--out", str(tmp_path / "out.dat")],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        single_error_line(err)
+        assert "field file %s: bad record '0 0 %s'" % (field, value) in err
 
 
 @pytest.mark.parametrize("key", ["nominal_thickness", "young_modulus"])
@@ -591,7 +615,7 @@ def test_reconstruct_summary_names_its_sources(grid_file, tmp_path, capsys):
     assert out.strip().endswith("(matrix from memory, inverse from memory)")
     pipeline.memory_tier.clear()
     code, out, _ = run(argv + ["--constraint", "nonneg"], capsys)
-    assert out.strip().endswith("(matrix from cache)")
+    assert out.strip().endswith("(matrix from cache, inverse factorized)")
 
 
 def test_reconstruct_rejects_a_taxel_index_past_intp(grid_file, tmp_path, capsys):

@@ -222,3 +222,11 @@ def test_read_field_refuses_a_value_that_is_not_a_number(tmp_path):
     p.write_text("0 0 1.0\n0 0 abc\n")
     with pytest.raises(InvalidArgumentError, match=r"^field file .*: bad record '0 0 abc'$"):
         read_field(p, build_regular_grid((0, 0), 2, 1, 1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_read_field_refuses_a_value_that_is_not_finite(tmp_path, value):
+    p = tmp_path / "f.dat"
+    p.write_text("0 0 1.0\n0 0 %s\n" % value)
+    with pytest.raises(InvalidArgumentError, match=r"^field file .*f\.dat: bad record '0 0 %s'$" % value):
+        read_field(p, build_regular_grid((0, 0), 2, 1, 1e-3, 1e-3))

@@ -79,11 +79,8 @@ def test_cold_disk_and_memory_results_are_bitwise_equal(
         held = solve()
     assert counters() == {"assemblies": 0, "factorizations": 0}
     assert held.matrix_source == "memory"
-    assert held.inverse_source == ("memory" if constraint == "free" else None)
-    assert set(held.timings_ms) == (
-        {"matrix_load_ms", "inverse_load_ms", "online_ms"}
-        if constraint == "free" else {"matrix_load_ms", "online_ms"}
-    )
+    assert held.inverse_source == "memory"
+    assert set(held.timings_ms) == {"matrix_load_ms", "inverse_load_ms", "online_ms"}
     for got in (cold, warm, held):
         assert _bits(got) == _bits(want)
     if constraint == "nonneg":

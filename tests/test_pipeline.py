@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from contactshape import (
     resample,
     synth_contact,
 )
-from contactshape import pipeline
+from contactshape import pipeline, solvers
 from contactshape.assembly import counters, reset_counters
 from contactshape.pipeline import ModelComparison
 
@@ -283,8 +284,8 @@ def test_nonneg_neither_reads_nor_writes_an_inverse(pad, params, tmp_path):
     d = np.full(36, 1e-6)
     reset_counters()
     report = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
-    assert report.inverse_source is None and report.matrix_source == "assembled"
-    assert set(report.timings_ms) == {"assembly_ms", "online_ms"}
+    assert (report.matrix_source, report.inverse_source) == ("assembled", "factorized")
+    assert set(report.timings_ms) == {"assembly_ms", "inversion_ms", "online_ms"}
     assert counters()["factorizations"] == 0
     assert list(tmp_path.glob("*.pinv")) == []
     # a stored inverse is left unread
@@ -293,8 +294,31 @@ def test_nonneg_neither_reads_nor_writes_an_inverse(pad, params, tmp_path):
     entry.write_bytes(b"garbage")
     pipeline.memory_tier.clear()  # so C comes from the disk cache beside it
     again = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
-    assert again.matrix_source == "cache" and again.inverse_source is None
+    # the NNLS system is formed again, never read from the disk
+    assert (again.matrix_source, again.inverse_source) == ("cache", "factorized")
     assert entry.read_bytes() == b"garbage"
+
+
+def test_nonneg_times_forming_its_system_apart_from_the_solve(pad, params, tmp_path, monkeypatch):
+    """Forming the ``NnlsSystem`` is reported as ``inversion_ms``, and
+    ``online_ms`` is the solve alone, with a cache dir or without."""
+    tract, disp = pad
+    d = np.full(36, 1e-6)
+
+    class SlowSystem(solvers.NnlsSystem):
+        def __init__(self, C):
+            time.sleep(0.05)
+            super().__init__(C)
+
+    monkeypatch.setattr(solvers, "NnlsSystem", SlowSystem)
+    for cache_dir in (None, tmp_path):
+        cold = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=cache_dir)
+        assert cold.inverse_source == "factorized"
+        assert cold.timings_ms["inversion_ms"] >= 50.0
+        assert cold.timings_ms["online_ms"] < 50.0
+    held = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=tmp_path)
+    assert held.inverse_source == "memory"
+    assert held.timings_ms["inverse_load_ms"] < 50.0
 
 
 def test_resample_is_forward_solve(pad, params):
@@ -382,6 +406,9 @@ def test_benchmark_guards(params):
         benchmark(sizes=(5,), params=params)
     with pytest.raises(InvalidArgumentError):
         benchmark(sizes=(4,), repetitions=0, params=params)
+    for models in ((), ("bc", "bc")):
+        with pytest.raises(InvalidArgumentError, match="each model once"):
+            benchmark(models=models, sizes=(4, 16), params=params)
 
 
 @pytest.mark.parametrize("sizes", [(25,), (25, 25), (-4, 4)])
