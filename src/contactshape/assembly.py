@@ -34,6 +34,7 @@ pressures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -192,9 +193,20 @@ def apply_inverse(op: InverseOperator, d) -> np.ndarray:
     return op.pinv @ field_values(d, op.pinv.shape[1], "displacement vector")
 
 
-def _grid_digest(h, grid: Grid) -> None:
-    h.update(grid.kind.encode())
-    h.update(grid.cells.tobytes())
+@functools.lru_cache(maxsize=32)
+def _digest(model, flag, psi_mode, tract_grid, disp_grid, pbytes) -> str:
+    """The sha256 key of ``matrix_key``'s validated inputs."""
+    h = hashlib.sha256()
+    h.update(model.encode())
+    h.update(flag)
+    h.update(psi_mode.encode())
+    if model == "bc":
+        h.update(b"per unit pressure")
+    for grid in (tract_grid, disp_grid):
+        h.update(grid.kind.encode())
+        h.update(grid.cells.tobytes())
+    h.update(pbytes)
+    return h.hexdigest()
 
 
 def matrix_key(
@@ -213,16 +225,16 @@ def matrix_key(
     that keys, and the cache entries saved under them, stay what they
     have always been.  ``bc`` also hashes a tag, so entries saved when
     its columns were per unit force miss.
+
+    The hash of the last 32 distinct inputs is memoized, so a stream of
+    frames on the same grids hashes their cells once.  Grids are keyed
+    by identity, which is sound because a ``Grid`` is immutable and its
+    cells read-only; the material constants by the exact bytes that
+    enter the hash, so 0.0 and -0.0 get different keys.  The memo holds
+    its grids until they are evicted.
     """
     _validate(model, psi_mode, params)
-    h = hashlib.sha256()
-    h.update(model.encode())
-    h.update(b"\x01" if normal_only else b"\x00")
-    h.update(psi_mode.encode())
-    if model == "bc":
-        h.update(b"per unit pressure")
-    _grid_digest(h, tract_grid)
-    _grid_digest(h, disp_grid)
+    flag = b"\x01" if normal_only else b"\x00"
     pbytes = np.array(
         [
             params.young_modulus,
@@ -230,8 +242,7 @@ def matrix_key(
             params.nominal_thickness,
         ]
     ).tobytes()
-    h.update(pbytes)
-    return h.hexdigest()
+    return _digest(model, flag, psi_mode, tract_grid, disp_grid, pbytes)
 
 
 def _key_of(mat: InfluenceMatrix) -> str:

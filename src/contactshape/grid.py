@@ -238,7 +238,7 @@ def field_values(v, n: int, what: str) -> np.ndarray:
     vals = v.values if isinstance(v, FieldVector) else np.asarray(v, dtype=float)
     if vals.shape != (n,):
         raise InvalidArgumentError("%s needs %d entries, got shape %s" % (what, n, vals.shape))
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise InvalidArgumentError("%s must be finite" % what)
     return vals
 

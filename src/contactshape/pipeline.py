@@ -295,12 +295,13 @@ def reconstruct(
     timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
     if constraint == "free":
         q, kept = solved, state.singular_values[: state.rank]
+        recon = mat.entries @ q
         mode_fields = {
             "rank": state.rank,
             "singular_value_range": (float(kept[-1]), float(kept[0])) if state.rank else None,
         }
     else:
-        q = solved.x
+        q, recon = solved.x, solved.fitted  # C q, formed for the residual
         mode_fields = {
             "rank": None,
             "converged": solved.converged,
@@ -309,11 +310,11 @@ def reconstruct(
             "kkt_tolerance": solved.kkt_tolerance,
             "active_set_size": int(np.count_nonzero(q > 0.0)),
         }
-    recon = mat.entries @ q
+    residual = recon - dv
     return SolveReport(
         tractions=FieldVector(q, tract_grid),
         reconstructed_displacements=recon,
-        residual_norm=float(np.linalg.norm(recon - dv)),
+        residual_norm=math.sqrt(residual.dot(residual)),  # as np.linalg.norm forms it
         model=model,
         constraint_mode=constraint,
         psi_mode=psi_mode,

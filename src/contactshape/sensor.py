@@ -117,27 +117,34 @@ def readings_to_displacements(readings, n_taxels: int, params: ElastomerParams) 
     Taxels without a reading stay at zero; duplicate indices are an error.
     Each entry is ``reading_to_displacement`` of its reading, bit for bit:
     the same IEEE operations in the same order, applied to all at once.
+    Each reading's index and capacitance change are read once.  The
+    indices are checked in linear time, without sorting: each marks its
+    taxel in the output, so an index out of range fails to mark and a
+    repeated one marks fewer taxels than there are readings.  Only when
+    that check fails are the readings scanned again, to name the first
+    that is out of range or repeats an index.
     """
     check_count("n_taxels", n_taxels)
-    readings = list(readings)  # any iterable; read twice below
-    keys = [r.taxel_index for r in readings]
-    try:
-        idx = np.array(keys, dtype=np.intp)
-    except OverflowError:  # an index past intp is out of range; n_taxels stands in for it
-        idx = np.array([min(k, n_taxels) for k in keys], dtype=np.intp)
-    dc = np.array([r.delta_c for r in readings], dtype=float)
-    # the first reading that is out of range or repeats an earlier index
-    first_seen = np.zeros(len(idx), dtype=bool)
-    first_seen[np.unique(idx, return_index=True)[1]] = True
-    wrong = np.flatnonzero((idx >= n_taxels) | ~first_seen)
-    if len(wrong):
-        k = keys[wrong[0]]
-        if k >= n_taxels:
-            raise InvalidArgumentError(
-                "reading for taxel %d but grid has %d taxels" % (k, n_taxels)
-            )
-        raise InvalidArgumentError("duplicate reading for taxel %d" % k)
+    readings = list(readings)  # any iterable; scanned again only to name a bad reading
+    n = len(readings)
     out = np.zeros(n_taxels)
+    try:
+        idx = np.fromiter([r.taxel_index for r in readings], np.intp, n)
+        out[idx] = 1.0
+    except (OverflowError, IndexError):  # an index past intp, or past n_taxels
+        idx = None
+    if idx is None or np.count_nonzero(out) < n:
+        seen = set()  # name the first reading out of range or repeating an index
+        for r in readings:
+            k = r.taxel_index
+            if k >= n_taxels:
+                raise InvalidArgumentError(
+                    "reading for taxel %d but grid has %d taxels" % (k, n_taxels)
+                )
+            if k in seen:
+                raise InvalidArgumentError("duplicate reading for taxel %d" % k)
+            seen.add(k)
+    dc = np.fromiter([r.delta_c for r in readings], float, n)
     out[idx] = params.nominal_thickness - _compressed_thickness(dc, params)
     return out
 

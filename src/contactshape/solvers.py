@@ -48,7 +48,8 @@ class NnlsResult:
     """One non-negative solve.  ``free_set_solver`` names the algorithm
     that ran, "schur" or "lawson-hanson" (see the module docstring);
     ``iterations`` counts the former's pivoting iterations, the one that
-    finds the optimum included, or the latter's ``lstsq`` steps."""
+    finds the optimum included, or the latter's ``lstsq`` steps.
+    ``fitted`` is C x, whose distance to the data is ``residual``."""
 
     x: np.ndarray
     residual: float
@@ -56,6 +57,7 @@ class NnlsResult:
     converged: bool
     kkt_tolerance: float
     free_set_solver: str
+    fitted: np.ndarray | None = None
 
 
 def _held_inverse(C):
@@ -106,8 +108,9 @@ class NnlsSystem:
 def _block_pivoting(C, H, d, ctd, tol, limit):
     """Block principal pivoting with Schur steps on the active rows of
     H, for at most ``limit`` iterations; see ``nnls_solve`` for what it
-    returns at that cap.  The iterates are kept, and the residual is
-    formed after the loop: for the last, or at the cap for each."""
+    returns at that cap.  The iterates are kept, and the fit
+    C max(x, 0) and its residual are formed after the loop: for the
+    last, or at the cap for each."""
     n = C.shape[1]
     x_u = H @ ctd
     free = np.ones(n, dtype=bool)
@@ -142,15 +145,16 @@ def _block_pivoting(C, H, d, ctd, tol, limit):
         x = x_u
         if active.size:
             rows = H[active]
-            y[active] = np.linalg.solve(rows[:, active], -x_u[active])
+            y[active] = np.linalg.solve(rows.take(active, axis=1), -x_u[active])
             x = x_u + y[active] @ rows
             x[active] = 0.0
         iterates.append(x)
     # the last iterate, or at the cap the lowest-residual one (x = 0 wins ties)
     candidates = iterates[-1:] if converged else [np.zeros(n)] + iterates
-    residuals = [float(np.linalg.norm(C @ np.maximum(x, 0.0) - d)) for x in candidates]
+    fits = [C @ np.maximum(x, 0.0) for x in candidates]
+    residuals = [float(np.linalg.norm(fit - d)) for fit in fits]
     best = int(np.argmin(residuals))
-    return candidates[best], residuals[best], iterations, converged
+    return candidates[best], fits[best], residuals[best], iterations, converged
 
 
 def _lawson_hanson(C, d, ctd, tol, limit):
@@ -190,7 +194,8 @@ def _lawson_hanson(C, d, ctd, tol, limit):
             x[np.flatnonzero(blocked)[np.argmin(steps)]] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
-    return x, float(np.linalg.norm(C @ x - d)), iterations, converged
+    fit = C @ x
+    return x, fit, float(np.linalg.norm(fit - d)), iterations, converged
 
 
 def nnls_solve(C, d) -> NnlsResult:
@@ -213,9 +218,11 @@ def nnls_solve(C, d) -> NnlsResult:
     tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
     if H is None:
         limit = max(NNLS_MAX_ITERATIONS, 3 * C.shape[1])
-        x, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
+        x, fit, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
         solver = "lawson-hanson"
     else:
-        x, residual, iterations, converged = _block_pivoting(C, H, d, ctd, tol, NNLS_MAX_ITERATIONS)
+        x, fit, residual, iterations, converged = _block_pivoting(
+            C, H, d, ctd, tol, NNLS_MAX_ITERATIONS
+        )
         solver = "schur"
-    return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver)
+    return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver, fit)

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import io
 import json
 import os
@@ -5,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -230,6 +233,90 @@ def test_matrix_keys_are_pinned(small_grids, params):
     assert matrix_key("love", tract, disp, params, True, "const") == (
         "318fced53ee9151e3e495538337c73000aa9e1852892d5a656efa83b849953a6"
     )
+
+
+def fresh_key(model, tract, disp, params, normal_only, psi_mode):
+    """The matrix key hashed afresh, with no memo in the way."""
+    h = hashlib.sha256()
+    h.update(model.encode())
+    h.update(b"\x01" if normal_only else b"\x00")
+    h.update(psi_mode.encode())
+    if model == "bc":
+        h.update(b"per unit pressure")
+    for g in (tract, disp):
+        h.update(g.kind.encode())
+        h.update(g.cells.tobytes())
+    h.update(np.array([params.young_modulus, params.poisson_ratio, params.nominal_thickness]).tobytes())
+    return h.hexdigest()
+
+
+def test_matrix_key_memo_is_exact(small_grids, params):
+    """Grids are memoized by identity and material constants by their
+    bytes: equal grids and signed zeros get the keys a fresh hash gives."""
+    tract, disp = small_grids
+    twin = build_regular_grid((0.0, 0.0), 3, 3, 2e-3, 2e-3)
+    assert twin is not tract and twin.cells.tobytes() == tract.cells.tobytes()
+    for t in (tract, twin, tract, twin):
+        for model in ("bc", "love"):
+            assert matrix_key(model, t, disp, params, True, "const") == fresh_key(
+                model, t, disp, params, True, "const"
+            )
+    keys = set()
+    for nu in (0.0, -0.0, 0.0, -0.0):
+        soft = ElastomerParams(poisson_ratio=nu)
+        key = matrix_key("love", tract, disp, soft, True, "const")
+        assert key == fresh_key("love", tract, disp, soft, True, "const")
+        keys.add(key)
+    assert len(keys) == 2
+    matrix_key("bc", tract, disp, params, True, "const")  # held, and then:
+    with pytest.raises(UnsupportedModelError):
+        matrix_key("hertz", tract, disp, params, True, "const")
+    with pytest.raises(InvalidArgumentError):
+        matrix_key("bc", tract, disp, params, True, "smooth")
+    with pytest.raises(InvalidArgumentError, match="bc model only"):
+        matrix_key("love", tract, disp, params, True, "exact")
+    with pytest.raises(UnsupportedModelError):
+        matrix_key("bc", tract, disp, ElastomerParams(poisson_ratio=0.3), True, "const")
+
+
+def test_matrix_key_memo_is_bounded(params):
+    """Past the memo's size, the grids it held are let go."""
+    first = build_regular_grid((0.0, 0.0), 2, 2, 1e-3, 1e-3)
+    disp = first.retag("displacement")
+    matrix_key("love", first, disp, params, True, "const")
+    first_ref, disp_ref = weakref.ref(first), weakref.ref(disp)
+    del first, disp
+    for k in range(assembly._digest.cache_info().maxsize):
+        g = build_regular_grid((k * 1e-3, 0.0), 2, 2, 1e-3, 1e-3)
+        matrix_key("love", g, g.retag("displacement"), params, True, "const")
+    gc.collect()
+    assert first_ref() is None and disp_ref() is None
+
+
+def test_matrix_key_memo_under_threads(params):
+    """More threads than cores key more grids than the memo holds, so
+    lookups, insertions and evictions interleave; every key stays exact."""
+    grids = [build_regular_grid((k * 1e-3, 0.0), 3, 2, 1e-3, 1e-3) for k in range(40)]
+    want = [fresh_key("love", g, g, params, True, "const") for g in grids]
+    got = [[None] * len(grids) for _ in range(8)]
+
+    def work(row):
+        for _ in range(20):
+            for i in np.random.default_rng(row).permutation(len(grids)):
+                got[row][i] = matrix_key("love", grids[i], grids[i], params, True, "const")
+
+    threads = [threading.Thread(target=work, args=(row,)) for row in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8
 
 
 def test_per_unit_force_bc_entry_is_a_miss(small_grids, params, tmp_path):

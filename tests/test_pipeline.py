@@ -1,3 +1,4 @@
+import hashlib
 import io
 import time
 
@@ -20,7 +21,7 @@ from contactshape import (
     resample,
     synth_contact,
 )
-from contactshape import pipeline, solvers
+from contactshape import assembly, pipeline, solvers
 from contactshape.assembly import counters, reset_counters
 from contactshape.pipeline import ModelComparison
 
@@ -207,6 +208,40 @@ def test_warm_reconstruct_is_uncached_bitwise(pad, params, tmp_path, model):
         assert got.reconstructed_displacements.tobytes() == want.reconstructed_displacements.tobytes()
         assert got.residual_norm == want.residual_norm
         assert got.rank == want.rank == 36
+
+
+def test_a_warm_frame_hashes_nothing(pad, params, tmp_path, monkeypatch):
+    """Matrix keys are memoized: once a stream's first frame has keyed
+    its matrices, a frame and its resample compute no sha256."""
+    tract, disp = pad
+    display = build_regular_grid((0.0, 0.0), 9, 9, 4e-3 / 3, 4e-3 / 3, kind="displacement")
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counting(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(assembly.hashlib, "sha256", counting)
+    d = np.linspace(0.0, 1e-5, 36)
+    for warm in (False, True):
+        calls.clear()
+        rep = reconstruct(d, "love", tract, disp, params, cache_dir=tmp_path)
+        resample(rep, display, params, cache_dir=tmp_path)
+        assert (len(calls) == 0) == warm
+
+
+def test_nonneg_reconstruction_is_the_solvers_fit(pad, params, tmp_path):
+    """On ``nonneg`` the report takes C q from the solve, bit for bit."""
+    tract, disp = pad
+    mat = assemble("bc", tract, disp, params)
+    rng = np.random.default_rng(3)
+    d = mat.entries @ rng.uniform(0.0, 50.0, 36) + 1e-7 * rng.standard_normal(36)
+    for cache_dir in (None, tmp_path, tmp_path):
+        rep = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=cache_dir)
+        recon = mat.entries @ rep.tractions.values
+        assert rep.reconstructed_displacements.tobytes() == recon.tobytes()
+        assert rep.residual_norm == float(np.linalg.norm(recon - d))
 
 
 def npy_bytes(*arrays):

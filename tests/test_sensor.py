@@ -190,3 +190,39 @@ def test_readings_to_displacements_rejects_an_index_past_intp(params):
     rs = [TaxelReading(1, 0.0), TaxelReading(1, 0.0), TaxelReading(huge, 0.0)]
     with pytest.raises(InvalidArgumentError, match=r"^duplicate reading for taxel 1$"):
         readings_to_displacements(rs, 4, params)
+
+
+def first_bad_reading(keys, n_taxels):
+    """The message for the first index out of range or seen before, or None."""
+    seen = set()
+    for k in keys:
+        if k >= n_taxels:
+            return "reading for taxel %d but grid has %d taxels" % (k, n_taxels)
+        if k in seen:
+            return "duplicate reading for taxel %d" % k
+        seen.add(k)
+    return None
+
+
+def test_the_index_check_agrees_with_a_full_scan(params):
+    rng = np.random.default_rng(13)
+    n = 40
+    outcomes = set()
+    for trial in range(300):
+        m = int(rng.integers(0, n + 5))
+        keys = [int(k) for k in rng.permutation(n + 3)[:m]]  # a few out of range
+        if trial % 3 == 1 and m > 1:  # repeat one index
+            keys[int(rng.integers(1, m))] = keys[int(rng.integers(0, m - 1))]
+        if trial % 7 == 2 and m:
+            keys[int(rng.integers(0, m))] = 10**20
+        rs = [TaxelReading(k, 1e-13) for k in keys]
+        want = first_bad_reading(keys, n)
+        outcomes.add(want.split()[0] if want else None)
+        if want is None:
+            out = readings_to_displacements(rs, n, params)
+            assert np.count_nonzero(out) == m
+        else:
+            with pytest.raises(InvalidArgumentError) as exc:
+                readings_to_displacements(rs, n, params)
+            assert str(exc.value) == want
+    assert outcomes == {None, "reading", "duplicate"}
