@@ -15,6 +15,16 @@ algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
   solve on the active set A alone: from the unconstrained x_u = H C^T d,
   H[A, A] y_A = -x_u[A] gives the dual y_A, and x = x_u + H[A, :]^T y_A
   (H is symmetric), so a step reads only the contiguous rows H[A, :].
+  The pivoting runs in two phases.  The search takes each full swap
+  with ``SEARCH_CG_STEPS`` conjugate-gradient steps on H[A, A]
+  (Hestenes & Stiefel, J. Res. NBS 49, 1952), which is positive
+  definite and no worse conditioned than H: the swaps need only the
+  signs of x and y, and the first swaps make A far larger than the
+  final one.  When a search iterate shows no infeasible index, or its
+  count stops falling, the certify phase solves that partition again
+  exactly (an LU solve) and takes exact steps from then on, so the
+  optimum is declared on an exact step only.  With ``SEARCH_CG_STEPS``
+  = 0 every step is exact.
   The residual ||C max(x, 0) - d|| is formed after the steps, not in them.
 - "lawson-hanson": otherwise (fewer rows than columns, or G singular or
   too ill-conditioned), where pivoting may cycle, the Lawson-Hanson
@@ -22,7 +32,10 @@ algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
   which terminates on every C, with ``lstsq`` steps on the passive
   columns.
 
-The result says which ran, and how many iterations it took.
+The result says which ran, and how many iterations it took: for the
+Schur steps the partitions visited, the final one included (certifying
+a partition is not an iteration of its own), for Lawson-Hanson its
+``lstsq`` steps.
 """
 
 from __future__ import annotations
@@ -39,6 +52,9 @@ from .grid import field_values
 NNLS_KKT_RTOL = 1e-10
 NNLS_MAX_ITERATIONS = 300
 NNLS_BACKUP_TRIGGER = 3
+# conjugate-gradient steps per full swap in the search phase; 0 makes
+# every Schur step exact
+SEARCH_CG_STEPS = 6
 
 _EPS = np.finfo(float).eps
 
@@ -47,8 +63,9 @@ _EPS = np.finfo(float).eps
 class NnlsResult:
     """One non-negative solve.  ``free_set_solver`` names the algorithm
     that ran, "schur" or "lawson-hanson" (see the module docstring);
-    ``iterations`` counts the former's pivoting iterations, the one that
-    finds the optimum included, or the latter's ``lstsq`` steps.
+    ``iterations`` counts the former's partitions visited, the optimal
+    one included (its certifying exact solve adds none), or the latter's
+    ``lstsq`` steps.
     ``fitted`` is C x, whose distance to the data is ``residual``."""
 
     x: np.ndarray
@@ -105,12 +122,59 @@ class NnlsSystem:
         self.inverse_gram = H
 
 
+def _cg(M, b, steps):
+    """``steps`` conjugate-gradient steps on M y = b from y = 0, M
+    symmetric positive definite; fewer once the residual vanishes."""
+    y = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    for _ in range(steps):
+        if not rr > 0.0:
+            break
+        Mp = M @ p
+        alpha = rr / (p @ Mp)
+        y += alpha * p
+        r -= alpha * Mp
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return y
+
+
+def _schur_step(H, x_u, free, cg_steps):
+    """The iterate x and dual y of the partition whose active set is
+    ~free: H[A, A] y_A = -x_u[A] solved by LU, or by ``cg_steps``
+    conjugate-gradient steps where that is positive."""
+    active = np.flatnonzero(~free)
+    y = np.zeros(len(x_u))
+    x = x_u
+    if active.size:
+        rows = H[active]
+        block = rows.take(active, axis=1)
+        if cg_steps:
+            y[active] = _cg(block, -x_u[active], cg_steps)
+        else:
+            y[active] = np.linalg.solve(block, -x_u[active])
+        x = x_u + y[active] @ rows
+        x[active] = 0.0
+    return x, y
+
+
+def _infeasible(x, y, free, tol):
+    """The free indices with x below -1e-12 max |x| and the active ones
+    with y below -tol."""
+    xtol = 1e-12 * np.max(np.abs(x))
+    return (free & (x < -xtol)) | (~free & (y < -tol))
+
+
 def _block_pivoting(C, H, d, ctd, tol, limit):
     """Block principal pivoting with Schur steps on the active rows of
-    H, for at most ``limit`` iterations; see ``nnls_solve`` for what it
-    returns at that cap.  The iterates are kept, and the fit
-    C max(x, 0) and its residual are formed after the loop: for the
-    last, or at the cap for each."""
+    H, searching with conjugate-gradient steps and certifying with exact
+    ones (module docstring), for at most ``limit`` iterations; see
+    ``nnls_solve`` for what it returns at that cap.  The iterates are
+    kept, search and exact alike, and the fit C max(x, 0) and its
+    residual are formed after the loop: for the last, or at the cap for
+    each."""
     n = C.shape[1]
     x_u = H @ ctd
     free = np.ones(n, dtype=bool)
@@ -118,13 +182,21 @@ def _block_pivoting(C, H, d, ctd, tol, limit):
     iterates = [x]
     best_infeasible = n + 1
     slack = NNLS_BACKUP_TRIGGER
+    cg_steps = SEARCH_CG_STEPS  # 0 once the search has handed over
     iterations = 0
     converged = False
     while iterations < limit:
         iterations += 1
-        xtol = 1e-12 * max(np.max(np.abs(x)), 1.0)
-        bad = (free & (x < -xtol)) | (~free & (y < -tol))
+        bad = _infeasible(x, y, free, tol)
         n_bad = int(np.count_nonzero(bad))
+        if cg_steps and (n_bad == 0 or n_bad >= best_infeasible):
+            # certify: solve this partition again exactly, and take
+            # exact steps from here on
+            cg_steps = 0
+            x, y = _schur_step(H, x_u, free, 0)
+            iterates.append(x)
+            bad = _infeasible(x, y, free, tol)
+            n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:
             converged = True
             break
@@ -140,14 +212,7 @@ def _block_pivoting(C, H, d, ctd, tol, limit):
                 bad = np.zeros(n, dtype=bool)
                 bad[idx] = True
         free ^= bad
-        active = np.flatnonzero(~free)
-        y = np.zeros(n)
-        x = x_u
-        if active.size:
-            rows = H[active]
-            y[active] = np.linalg.solve(rows.take(active, axis=1), -x_u[active])
-            x = x_u + y[active] @ rows
-            x[active] = 0.0
+        x, y = _schur_step(H, x_u, free, cg_steps)
         iterates.append(x)
     # the last iterate, or at the cap the lowest-residual one (x = 0 wins ties)
     candidates = iterates[-1:] if converged else [np.zeros(n)] + iterates

@@ -187,6 +187,103 @@ def test_schur_steps_solve_the_least_squares_on_their_support():
         assert np.all(g >= -res.kkt_tolerance) and np.all(np.abs(g[supp]) <= res.kkt_tolerance)
 
 
+def _assert_kkt(C, d, res):
+    """The KKT certificate: the gradient C^T (C x - d) is at least
+    -tol everywhere and within tol of zero where x is positive."""
+    g = C.T @ (C @ res.x - d)
+    assert np.all(g >= -res.kkt_tolerance)
+    assert np.all(np.abs(g[res.x > 0.0]) <= res.kkt_tolerance)
+
+
+def _recording_steps(monkeypatch):
+    """Record (active cells, CG steps) of every Schur step; 0 steps is exact."""
+    steps = []
+    schur_step = solvers._schur_step
+
+    def record(H, x_u, free, cg_steps):
+        steps.append((int(np.count_nonzero(~free)), cg_steps))
+        return schur_step(H, x_u, free, cg_steps)
+
+    monkeypatch.setattr(solvers, "_schur_step", record)
+    return steps
+
+
+def test_the_search_certifies_the_exact_steps_partition(monkeypatch):
+    # the noisy 24x24 bc skin frames of the two tests above
+    tract = build_regular_grid((-23e-3, -23e-3), 24, 24, 2e-3, 2e-3)
+    C = assemble("bc", tract, tract.retag("displacement"), ElastomerParams()).entries
+    system = solvers.NnlsSystem(C)
+    frames = []
+    for seed, diameter, cy, probes in (
+        (11, 9e-3, -4e-3, (("hemisphere", -6e-3, 0.6), ("hemisphere", -6e-3, 1.8),
+                           ("hemisphere", -2e-3, 1.8), ("cylinder", 3e-3, 1.2),
+                           ("cylinder", 7e-3, 2.4))),
+        (13, 8e-3, 3e-3, (("hemisphere", -5e-3, 0.9), ("cylinder", 0.0, 1.5),
+                          ("hemisphere", 6e-3, 2.2))),
+    ):
+        specs = [IndenterSpec(shape, diameter, (cx, cy), force) for shape, cx, force in probes]
+        frames.extend(_noisy_frames(C, tract, specs, np.random.default_rng(seed)))
+    steps = _recording_steps(monkeypatch)
+    default = solvers.SEARCH_CG_STEPS
+    results = {}
+    # two CG steps do not settle the signs: the infeasible count stops
+    # falling, which must end the search (else the pivoting cycles)
+    for search in (default, 0, 1, 2):
+        monkeypatch.setattr(solvers, "SEARCH_CG_STEPS", search)
+        results[search] = []
+        for d in frames:
+            del steps[:]
+            res = nnls_solve(system, d)
+            assert res.free_set_solver == "schur" and res.converged
+            _assert_kkt(C, d, res)
+            results[search].append(res)
+            if search == 0:
+                assert all(cg == 0 for _, cg in steps)
+            elif search == 1:
+                # one CG step moves too little to show an infeasible index
+                # after the first swap: that partition is solved again
+                # exactly, and the exact steps go on from it
+                assert steps[:2] == [(steps[0][0], 1), (steps[0][0], 0)] and len(steps) > 2
+            elif search == default:
+                # the search reaches the optimal partition and certifies it
+                # with the one exact step of the solve
+                assert [cg for _, cg in steps] == [search] * (len(steps) - 1) + [0]
+                assert steps[-1][0] == steps[-2][0]
+    for search in (0, 1, 2):
+        for res, ref in zip(results[search], results[default]):
+            assert res.x.tobytes() == ref.x.tobytes()
+    # exact steps from the first swap's partition on: block pivoting's
+    # own counts, as before the search phase existed
+    for search in (0, 1):
+        assert [res.iterations for res in results[search]] == [4, 5, 5, 5, 5, 4, 5, 5]
+
+
+def test_cg_stops_once_its_residual_vanishes():
+    b = np.array([1.0, -2.0, 3.0])
+    # one step solves M = I exactly; the steps after it must not divide by 0
+    np.testing.assert_array_equal(solvers._cg(np.eye(3), b, 5), b)
+    np.testing.assert_array_equal(solvers._cg(np.eye(3), np.zeros(3), 5), np.zeros(3))
+    M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    np.testing.assert_allclose(solvers._cg(M, b, 3), np.linalg.solve(M, b), rtol=1e-12)
+
+
+def test_scaled_data_gives_the_scaled_solution():
+    # the 6x6 problem of the cap test: an absolute floor on the primal
+    # tolerance once let data scaled by 1e-12 or less "converge" on an x
+    # whose gradient broke the KKT tolerance by a factor of 1e9
+    rng = np.random.default_rng(59)
+    C = rng.normal(size=(6, 6))
+    d = rng.normal(size=6)
+    system = solvers.NnlsSystem(C)
+    ref = nnls_solve(system, d)
+    assert ref.free_set_solver == "schur" and np.count_nonzero(ref.x == 0.0) == 2
+    for s in 10.0 ** np.arange(-20, 21, 2):
+        res = nnls_solve(system, s * d)
+        assert res.converged
+        _assert_kkt(C, s * d, res)
+        assert np.linalg.norm(res.x - s * ref.x) <= 1e-9 * np.linalg.norm(s * ref.x)
+
+
 def test_schur_matches_lawson_hanson_on_random_problems(monkeypatch):
     rng = np.random.default_rng(61)
     for _ in range(40):
