@@ -20,8 +20,8 @@ from .errors import ContactShapeError, InvalidArgumentError, check_count, check_
 # Two cell centers closer than this are considered the same physical taxel.
 DUPLICATE_CENTER_TOL = 1e-9
 
-# Relative tolerance when detecting a uniform lattice in a set of centers.
-_LATTICE_RTOL = 1e-9
+# Center pairs per block of the duplicate check: 16 MiB at 32 bytes a pair.
+DUPLICATE_CHECK_PAIRS = 1 << 19
 
 GRID_HEADER = "index,center_x_m,center_y_m,half_extent_a_m,half_extent_b_m"
 
@@ -35,14 +35,13 @@ class Grid:
     The array is copied and validated once, on construction: n >= 1,
     every value finite, every half-extent positive.  It cannot be written
     afterwards, so the geometry a cache key was hashed from stays the
-    geometry of the grid.  ``spacing`` (dx, dy) is set when the centers
-    form a uniform lattice; when not given it is detected here.  Grids
-    compare by identity.
+    geometry of the grid.  No layout is assumed: a lattice, a staggered
+    module and scattered taxels are all just rows.  Grids compare by
+    identity.
     """
 
     cells: np.ndarray
     kind: str = "traction"
-    spacing: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -59,15 +58,9 @@ class Grid:
             )
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
-        if self.spacing is None:
-            object.__setattr__(self, "spacing", _detect_lattice(cells[:, :2]))
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    @property
-    def regular(self) -> bool:
-        return self.spacing is not None
 
     def centers(self) -> np.ndarray:
         """(n, 2) read-only view of the cell centers."""
@@ -78,7 +71,7 @@ class Grid:
 
     def retag(self, kind: str) -> "Grid":
         """Same geometry under a different side tag."""
-        return Grid(self.cells, kind, self.spacing)
+        return Grid(self.cells, kind)
 
 
 def build_regular_grid(
@@ -104,31 +97,7 @@ def build_regular_grid(
     )
     n = nx * ny
     cells = np.column_stack((x.ravel(), y.ravel(), np.full(n, 0.5 * dx), np.full(n, 0.5 * dy)))
-    return Grid(cells, kind, (dx, dy))
-
-
-def _detect_lattice(centers: np.ndarray) -> tuple[float, float] | None:
-    """Spacing (dx, dy) if the centers fill a uniform product lattice."""
-    xs = np.unique(centers[:, 0])
-    ys = np.unique(centers[:, 1])
-    if len(xs) * len(ys) != len(centers):
-        return None
-    scale = max(np.ptp(xs), np.ptp(ys), 1.0)
-    for vals in (xs, ys):
-        if len(vals) > 1:
-            d = np.diff(vals)
-            if np.any(np.abs(d - d[0]) > _LATTICE_RTOL * scale):
-                return None
-    # every (x, y) product point must actually be present
-    want = {(x, y) for x in xs for y in ys}
-    have = {(cx, cy) for cx, cy in centers}
-    if want != have:
-        return None
-    dx = float(xs[1] - xs[0]) if len(xs) > 1 else None
-    dy = float(ys[1] - ys[0]) if len(ys) > 1 else None
-    if dx is None and dy is None:
-        return None
-    return (dx if dx is not None else dy, dy if dy is not None else dx)
+    return Grid(cells, kind)
 
 
 def grid_from_taxel_layout(
@@ -139,7 +108,8 @@ def grid_from_taxel_layout(
     """Grid of equal square cells centered on measured taxel positions.
 
     Taxel cells are taken to be disjoint squares of the given area.  Two
-    centers closer than 1e-9 m are rejected as a duplicated taxel.
+    centers closer than 1e-9 m are rejected as a duplicated taxel, found
+    a block of center pairs at a time so that a large skin fits memory.
     """
     pts = np.asarray(centers, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
@@ -147,13 +117,17 @@ def grid_from_taxel_layout(
     check_positive("cell_area", cell_area)
     if not np.all(np.isfinite(pts)):
         raise InvalidArgumentError("taxel centers must be finite")
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    if np.min(d2) < DUPLICATE_CENTER_TOL**2:
+    rows = max(1, DUPLICATE_CHECK_PAIRS // len(pts))
+    for s in range(0, len(pts), rows):
+        # rows s.. against columns s.. hold every pair k < l with k in the block
+        dx, dy = (np.subtract.outer(pts[s : s + rows, i], pts[s:, i]) for i in (0, 1))
+        d2 = dx * dx + dy * dy
+        np.fill_diagonal(d2, np.inf)
         k, l = np.unravel_index(np.argmin(d2), d2.shape)
-        raise InvalidArgumentError(
-            "taxel centers %d and %d coincide within %g m" % (k, l, DUPLICATE_CENTER_TOL)
-        )
+        if d2[k, l] < DUPLICATE_CENTER_TOL**2:
+            raise InvalidArgumentError(
+                "taxel centers %d and %d coincide within %g m" % (s + k, s + l, DUPLICATE_CENTER_TOL)
+            )
     half = np.full(len(pts), 0.5 * math.sqrt(cell_area))
     return Grid(np.column_stack((pts, half, half)), kind)
 
@@ -246,13 +220,13 @@ def field_values(v, n: int, what: str) -> np.ndarray:
 def write_field(fv: FieldVector, path) -> None:
     """Emit one ``x y value`` record per cell, in grid index order.
 
-    On a regular grid, records are grouped into blank-line separated
-    rows of constant y so the file plots directly as a surface.
+    A blank line goes wherever y changes from one record to the next, so
+    a lattice stored row by row plots directly as a surface.
     """
     lines = []
     prev_y = None
     for (x, y, _, _), v in zip(fv.grid.cells.tolist(), fv.values.tolist()):
-        if fv.grid.regular and prev_y is not None and y != prev_y:
+        if lines and y != prev_y:
             lines.append("")
         lines.append("%r %r %r" % (x, y, v))
         prev_y = y

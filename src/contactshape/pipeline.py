@@ -449,7 +449,7 @@ def benchmark(
     params: ElastomerParams | None = None,
 ) -> BenchmarkResult:
     """Time matrix assembly on square n-cell grids (n a perfect square)
-    of BENCHMARK_PITCH spacing.
+    with cells BENCHMARK_PITCH apart.
 
     Reported times are medians over the repetitions; the exponent is the
     least-squares slope of log(time) against log(cells), so at least two

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from contactshape import (
     save_grid,
     write_field,
 )
+from contactshape import grid as grid_mod
 from contactshape.grid import read_records
 
 HEADER = "index,center_x_m,center_y_m,half_extent_a_m,half_extent_b_m\n"
@@ -76,7 +78,6 @@ def test_load_grid_rejects_non_finite_geometry(tmp_path, record):
 def test_regular_grid_row_major_centers():
     g = build_regular_grid((0.0, 0.0), 3, 2, 2e-3, 1e-3)
     assert len(g) == 6
-    assert g.regular and g.spacing == (2e-3, 1e-3)
     # x varies fastest
     c = g.centers()
     np.testing.assert_allclose(c[0], [1e-3, 0.5e-3])
@@ -102,20 +103,49 @@ def test_taxel_layout_duplicate_centers_rejected():
         grid_from_taxel_layout(pts, 1e-6)
 
 
+def _jittered_layout(side, seed=0):
+    """side * side taxel centers, 4 mm apart, each moved up to 1 mm."""
+    rng = np.random.default_rng(seed)
+    pts = np.array([(i * 4e-3, j * 4e-3) for j in range(side) for i in range(side)])
+    return pts + rng.uniform(-1e-3, 1e-3, pts.shape)
+
+
+def test_taxel_layout_larger_than_one_block_is_accepted():
+    pts = _jittered_layout(30)
+    assert len(pts) > grid_mod.DUPLICATE_CHECK_PAIRS // len(pts)  # rows per block
+    g = grid_from_taxel_layout(pts, 1e-6)
+    np.testing.assert_array_equal(g.centers(), pts)
+
+
+@pytest.mark.parametrize("where", ["last block", "first and last block", "block boundary"])
+def test_taxel_layout_duplicate_is_named_in_any_block(where):
+    pts = _jittered_layout(30)
+    n = len(pts)
+    rows = grid_mod.DUPLICATE_CHECK_PAIRS // n
+    k, l = {"last block": (n - 2, n - 1), "first and last block": (0, n - 1),
+            "block boundary": (rows - 1, rows)}[where]
+    pts[l] = pts[k] + (0.0, 0.5e-9)
+    with pytest.raises(InvalidArgumentError, match=r"^taxel centers %d and %d coincide" % (k, l)):
+        grid_from_taxel_layout(pts, 1e-6)
+
+
+def test_taxel_layout_check_memory_does_not_grow_with_the_square():
+    """3,000 taxels once took an (n, n, 2) array, about 200 MiB."""
+    pts = _jittered_layout(55)[:3000]
+    tracemalloc.start()
+    try:
+        grid_from_taxel_layout(pts, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_taxel_layout_module(module_grid):
     assert len(module_grid) == 12
     assert module_grid.kind == "displacement"
-    # staggered rows do not form a product lattice
-    assert not module_grid.regular
     areas = module_grid.areas()
     np.testing.assert_allclose(areas, 1.6e-5)
-
-
-def test_taxel_layout_detects_lattice():
-    pts = [(i * 2e-3, j * 3e-3) for j in range(3) for i in range(4)]
-    g = grid_from_taxel_layout(pts, 4e-6)
-    assert g.regular
-    assert g.spacing == pytest.approx((2e-3, 3e-3))
 
 
 def test_grid_roundtrip_bit_exact(tmp_path, module_grid):
@@ -132,7 +162,6 @@ def test_grid_roundtrip_bit_exact(tmp_path, module_grid):
         for c, c2 in zip(g.cells, g2.cells):
             for v, v2 in zip(c, c2):
                 assert struct.pack("<d", v) == struct.pack("<d", v2)
-        assert g2.regular == g.regular
 
 
 def test_grid_file_errors(tmp_path):
@@ -156,17 +185,46 @@ def test_field_vector_length_check():
             FieldVector(bad, g)
 
 
-def test_field_file_roundtrip(tmp_path):
-    g = build_regular_grid((0, 0), 4, 3, 2e-3, 2e-3)
+def _field_grid(name, module_grid):
+    lattice = build_regular_grid((0, 0), 4, 3, 2e-3, 2e-3)
+    if name == "row-major":
+        return lattice
+    if name == "column-major":
+        return Grid(lattice.cells.reshape(3, 4, 4).transpose(1, 0, 2).reshape(12, 4))
+    if name == "staggered-module":
+        return module_grid
+    jitter = np.random.default_rng(5).uniform(-0.2e-3, 0.2e-3, (len(lattice), 2))
+    return Grid(lattice.cells + np.column_stack((jitter, np.zeros((len(lattice), 2)))))
+
+
+# changes of y between consecutive records of each grid above
+FIELD_GRID_GAPS = {"row-major": 2, "column-major": 11, "staggered-module": 2, "jittered": 11}
+
+
+@pytest.mark.parametrize("name", FIELD_GRID_GAPS)
+def test_field_file_roundtrip(tmp_path, module_grid, name):
+    """Values come back bitwise, and a blank line marks each change of y."""
+    g, gaps = _field_grid(name, module_grid), FIELD_GRID_GAPS[name]
     rng = np.random.default_rng(3)
     fv = FieldVector(rng.normal(size=len(g)), g)
     path = tmp_path / "f.dat"
     write_field(fv, path)
     back = read_field(path, g)
     np.testing.assert_array_equal(back.values, fv.values)
-    # blank-line separated rows for a regular grid: one gap per row change
-    text = path.read_text()
-    assert text.count("\n\n") == 2
+    y = g.cells[:, 1]
+    assert int(np.count_nonzero(y[1:] != y[:-1])) == gaps
+    assert path.read_text().count("\n\n") == gaps
+
+
+def test_field_file_text_of_a_lattice_is_pinned(tmp_path):
+    g = build_regular_grid((0, 0), 2, 3, 0.5, 0.5)
+    path = tmp_path / "f.dat"
+    write_field(FieldVector(np.arange(6.0) - 2.5, g), path)
+    assert path.read_text() == (
+        "0.25 0.25 -2.5\n0.75 0.25 -1.5\n\n"
+        "0.25 0.75 -0.5\n0.75 0.75 0.5\n\n"
+        "0.25 1.25 1.5\n0.75 1.25 2.5\n"
+    )
 
 
 def test_field_file_count_mismatch(tmp_path):
