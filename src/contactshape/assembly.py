@@ -94,7 +94,7 @@ class InfluenceMatrix:
     tract_grid: Grid
     disp_grid: Grid
     params: object
-    assembly_seconds: float = 0.0
+    assembly_seconds: float
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,8 @@ def _cmd_assemble(args):
             1e3 * mat.assembly_seconds,
         ))
     if args.out:
-        np.save(args.out, mat.entries)
+        with open(args.out, "wb") as fh:  # np.save would append .npy to another suffix
+            np.save(fh, mat.entries)
         print("entries written to %s" % args.out)
     if not (args.cache_dir or args.out):
         print("assembled %dx%d %s matrix in %.1f ms (use --cache-dir or --out to keep it)" % (

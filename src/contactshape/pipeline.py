@@ -2,9 +2,9 @@
 
 These are the verbs behind the command line tool.  They compose the
 grid, sensor, elastic-model, assembly, and solver layers; nothing here
-adds new physics.  With a cache dir, the solve state (matrices, inverse
-operators, NNLS systems) is also held in ``memory_tier``, which every
-cache dir of the process shares, keyed by content.
+adds new physics.  Every call holds the solve state it forms (matrices,
+inverse operators, NNLS systems) in ``memory_tier``, keyed by content;
+a cache dir only adds the disk behind it.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import assembly, solvers
-from .errors import InvalidArgumentError, check_count, check_entries, check_finite, check_positive
+from .errors import InvalidArgumentError, NumericalFailureError, check_count, check_entries
+from .errors import check_finite, check_positive
 from .grid import FieldVector, Grid, build_regular_grid, field_values
 from .sensor import ElastomerParams
 
@@ -101,15 +102,15 @@ class SolveReport:
     "factorized"), the ``solvers.NnlsSystem`` on ``nonneg`` ("memory"
     or "factorized"; it is never saved to disk), which holds
     (C^T C)^-1 only when ``free_set_solver`` is "schur".  "memory" is
-    the process's ``memory_tier``, which a ``cache_dir`` puts in front
-    of the disk: a memory hit opens no file and leaves the cache dir
-    untouched.  Each time in ``timings_ms`` is named for what it
-    measured: ``assembly_ms`` or ``matrix_load_ms`` (from memory or
-    disk), ``inversion_ms`` (forming the solve state) or
-    ``inverse_load_ms``, and ``online_ms``, the solve alone, on both
-    modes.  ``singular_value_range``
-    is (smallest, largest) of the singular values the truncated SVD
-    kept on ``free`` (None on ``nonneg``, or when it kept none).  On
+    the process's ``memory_tier``, which serves every call, cache dir or
+    not: a memory hit opens no file and leaves any cache dir untouched.
+    Each time in ``timings_ms`` is named for what it measured:
+    ``assembly_ms`` or ``matrix_load_ms`` (from memory or disk),
+    ``inversion_ms`` (forming the solve state) or ``inverse_load_ms``,
+    and ``online_ms``, the solve alone, on both modes.
+    ``singular_value_range`` is (smallest, largest) of the singular
+    values the truncated SVD kept on ``free`` (None on ``nonneg``, or
+    when it kept none).  Every number is finite.  On
     ``nonneg``, ``iterations`` counts the NNLS iterations,
     ``free_set_solver`` names the algorithm that ran, "schur" (block
     pivoting on a held (C^T C)^-1) or "lawson-hanson" (where C^T C is
@@ -198,52 +199,44 @@ class MemoryTier:
             self.nbytes = 0
 
 
-# The one tier of the process, in front of every cache dir.
+# The one tier of the process; it serves every call, cache dir or not.
 memory_tier = MemoryTier(MEMORY_TIER_BYTES)
 
 
-def _obtain(key, kind, compute, load=None, save=None):
+def _obtain(key, kind, compute, cache_dir=None, load=None, save=None):
     """The ``kind`` of solve state for the matrix key ``key``: held in
-    memory, else ``load()``-ed from the disk cache, else ``compute()``-d
-    and ``save``-d there; from then on it is held in memory.  Without a
-    key (no cache dir), just ``compute()``, and hold nothing.
+    memory, else ``load``-ed from ``cache_dir`` (when one is given), else
+    ``compute()``-d and ``save``-d there; from then on it is held in memory.
 
     Returns the object, where it came from ("memory", "cache", or None
     when computed), and the seconds the lookup or the computation took
     (a save is not counted).  A memory hit touches no file.
     """
-    if key is not None:
-        t0 = time.perf_counter()
-        obj, source = memory_tier.get(key, kind), "memory"
-        if obj is None and load is not None:
-            obj, source = load(), "cache"
-        if obj is not None:
-            seconds = time.perf_counter() - t0
-            if source == "cache":
-                memory_tier.put(key, kind, obj)
-            return obj, source, seconds
     t0 = time.perf_counter()
-    obj = compute()
+    obj, source = memory_tier.get(key, kind), "memory"
+    if obj is None and cache_dir is not None:
+        obj, source = load(cache_dir), "cache"
+    if obj is None:
+        t0 = time.perf_counter()
+        obj, source = compute(), None
     seconds = time.perf_counter() - t0
-    if key is not None:
-        if save is not None:
-            save(obj)
+    if source is None and cache_dir is not None:
+        save(obj, cache_dir)
+    if source != "memory":
         memory_tier.put(key, kind, obj)
-    return obj, None, seconds
+    return obj, source, seconds
 
 
 def _obtain_matrix(model, tract_grid, disp_grid, params, psi_mode, cache_dir):
-    """The matrix's key (None without a cache), then the matrix from
-    memory or the cache, else assembled (and cached), as ``_obtain``."""
-    key = None
-    if cache_dir is not None:
-        key = assembly.matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
+    """The matrix's key, then the matrix, its source and seconds from ``_obtain``."""
+    key = assembly.matrix_key(model, tract_grid, disp_grid, params, True, psi_mode)
     return (key,) + _obtain(
         key,
         "matrix",
         lambda: assembly.assemble(model, tract_grid, disp_grid, params, psi_mode),
-        lambda: assembly.load_matrix(cache_dir, model, tract_grid, disp_grid, params, psi_mode),
-        lambda mat: assembly.save_matrix(mat, cache_dir),
+        cache_dir,
+        lambda d: assembly.load_matrix(d, model, tract_grid, disp_grid, params, psi_mode),
+        assembly.save_matrix,
     )
 
 
@@ -262,11 +255,12 @@ def reconstruct(
     ``free`` inverts through the truncated-SVD pseudo-inverse; ``nonneg``
     solves the same least-squares problem under Q >= 0 on a
     ``solvers.NnlsSystem`` (with (C^T C)^-1 where the solves use it).
-    With a ``cache_dir``, the matrix and (on ``free``) its inverse
-    operator come from ``memory_tier`` or from there when either holds
-    them, and are saved there when neither does; the matrix and the
-    mode's solve state are held in memory from then on, so a stream of
-    frames reads no file and inverts nothing after its first frame.
+    The matrix and the mode's solve state come from ``memory_tier``;
+    else the matrix and (on ``free``) its inverse operator come from
+    ``cache_dir`` when one is given and holds them, or are formed and
+    saved there.  Either way they are held in memory from then on, so a
+    stream of frames reads no file and inverts nothing after its first.
+    Non-finite tractions or residual raise ``NumericalFailureError``.
     """
     if constraint not in CONSTRAINT_MODES:
         raise InvalidArgumentError(
@@ -282,8 +276,9 @@ def reconstruct(
             key,
             "inverse",
             lambda: assembly.precompute_inverse(mat),
-            lambda: assembly.load_inverse(cache_dir, mat),
-            lambda op: assembly.save_inverse(op, mat, cache_dir),
+            cache_dir,
+            lambda d: assembly.load_inverse(d, mat),
+            lambda op, d: assembly.save_inverse(op, mat, d),
         )
         solve = assembly.apply_inverse
     else:
@@ -311,10 +306,15 @@ def reconstruct(
             "active_set_size": int(np.count_nonzero(q > 0.0)),
         }
     residual = recon - dv
+    residual_norm = math.sqrt(residual.dot(residual))  # as np.linalg.norm forms it
+    if not (math.isfinite(residual_norm) and np.isfinite(q).all()):
+        raise NumericalFailureError(
+            "the %s solve of data up to %g is not finite" % (constraint, np.max(np.abs(dv)))
+        )
     return SolveReport(
         tractions=FieldVector(q, tract_grid),
         reconstructed_displacements=recon,
-        residual_norm=math.sqrt(residual.dot(residual)),  # as np.linalg.norm forms it
+        residual_norm=residual_norm,
         model=model,
         constraint_mode=constraint,
         psi_mode=psi_mode,
@@ -424,7 +424,7 @@ class BenchmarkResult:
     sizes: tuple[int, ...]
     times: dict  # model -> list of seconds, one per size
     exponents: dict  # model -> fitted log-log slope
-    ratios: tuple[float, ...] = field(default=())  # love time / bc time per size
+    ratios: tuple[float, ...]  # love time / bc time per size
 
     def summary_lines(self):
         lines = ["cells" + "".join("  %10s" % m for m in self.times)]

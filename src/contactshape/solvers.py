@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .grid import field_values
 
 # KKT tolerance relative to ||C^T d||_inf, the iteration limit, and the
@@ -74,7 +74,7 @@ class NnlsResult:
     converged: bool
     kkt_tolerance: float
     free_set_solver: str
-    fitted: np.ndarray | None = None
+    fitted: np.ndarray
 
 
 def _held_inverse(C):
@@ -274,7 +274,8 @@ def nnls_solve(C, d) -> NnlsResult:
     that is more (``scipy.optimize.nnls``'s limit).  If the limit is
     hit, the iterate x (x = 0 included) with the lowest
     ||C max(x, 0) - d|| is returned, clamped, with ``converged`` False
-    rather than raising.
+    rather than raising.  A residual that is not finite (data too large
+    for float64) raises ``NumericalFailureError``.
     """
     system = C if isinstance(C, NnlsSystem) else NnlsSystem(C)
     C, H = system.matrix, system.inverse_gram
@@ -290,4 +291,6 @@ def nnls_solve(C, d) -> NnlsResult:
             C, H, d, ctd, tol, NNLS_MAX_ITERATIONS
         )
         solver = "schur"
+    if not np.isfinite(residual):
+        raise NumericalFailureError("NNLS residual %r on data up to %g" % (residual, abs(d).max()))
     return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver, fit)

@@ -696,3 +696,38 @@ def test_a_missing_params_file_is_one_io_line(grid_file, tmp_path, capsys):
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: io:") and "absent.json" in err, err
+
+
+def test_assemble_out_writes_the_named_path(grid_file, tmp_path, capsys):
+    out_path = tmp_path / "m.dat"
+    code, out, _ = run(
+        ["assemble", "--model", "bc", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0 and "entries written to %s" % out_path in out
+    g = load_grid(grid_file, "traction")
+    want = contactshape.assemble("bc", g, g.retag("displacement"), ElastomerParams()).entries
+    assert np.load(out_path).tobytes() == want.tobytes()
+    assert not (tmp_path / "m.dat.npy").exists()
+
+
+@pytest.mark.parametrize("constraint", pipeline.CONSTRAINT_MODES)
+def test_a_non_finite_solve_is_a_numerical_failure_and_writes_nothing(
+    grid_file, tmp_path, capsys, constraint
+):
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e300\n" for _ in range(9)))
+    out_path, report_path = tmp_path / "q.dat", tmp_path / "report.json"
+    code, out, err = run(
+        [
+            "reconstruct", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+            "--displacements", str(d_path), "--constraint", constraint,
+            "--out", str(out_path), "--report", str(report_path),
+        ],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical-failure:")
+    assert not out_path.exists() and not report_path.exists()

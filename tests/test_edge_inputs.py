@@ -20,6 +20,7 @@ from contactshape import (
     IndenterSpec,
     InequalitySystem,
     InvalidArgumentError,
+    NumericalFailureError,
     apply_forward,
     apply_inverse,
     TaxelReading,
@@ -223,3 +224,21 @@ def test_arguments_of_the_wrong_kind_raise_invalid_argument(name):
     fn, args = WRONG_KIND[name]
     with pytest.raises(InvalidArgumentError):
         fn(*args)
+
+
+PAD = build_regular_grid((0.0, 0.0), 4, 4, 2e-3, 2e-3)
+
+
+@pytest.mark.parametrize("value", [1e300, 1e290])
+@pytest.mark.parametrize("constraint", ["free", "nonneg"])
+def test_data_too_large_for_float64_is_a_numerical_failure(constraint, value):
+    """Displacements that overflow the solve raise; neither mode reports
+    NaN or inf tractions, or a non-finite residual as converged."""
+    with pytest.raises(NumericalFailureError):
+        reconstruct(np.full(16, value), "love", PAD, PAD.retag("displacement"), PARAMS, constraint)
+
+
+def test_nnls_residual_that_is_not_finite_is_a_numerical_failure():
+    C = assemble("love", PAD, PAD.retag("displacement"), PARAMS).entries
+    with pytest.raises(NumericalFailureError, match="NNLS residual"):
+        nnls_solve(C, np.full(16, 1e300))

@@ -68,6 +68,7 @@ def test_cold_disk_and_memory_results_are_bitwise_equal(
         return reconstruct(d, model, tract, disp, params, constraint, cache_dir=tmp_path)
 
     want = reconstruct(d, model, tract, disp, params, constraint)
+    memory_tier.clear()
     cold = solve()
     assert cold.matrix_source == "assembled"
     memory_tier.clear()
@@ -103,16 +104,36 @@ def test_a_memory_hit_leaves_another_cache_dir_untouched(pad, params, tmp_path, 
     assert not other.exists()
 
 
-def test_without_a_cache_dir_nothing_is_held(pad, params):
+def test_without_a_cache_dir_the_memory_tier_serves(pad, params, tmp_path, monkeypatch):
+    """An uncached stream assembles and factorizes once, is served from
+    memory from its second call on, writes no file, and gives the bits
+    of a fresh computation."""
+    monkeypatch.chdir(tmp_path)
     tract, disp = pad
     d = _frame("bc", pad, params)
+    modes = ("free", "nonneg", "free")
     reset_counters()
-    for constraint in ("free", "nonneg", "free"):
-        report = reconstruct(d, "bc", tract, disp, params, constraint)
-        assert report.matrix_source == "assembled"
-    forward_solve(report.tractions, "bc", disp, params)
-    assert counters() == {"assemblies": 4, "factorizations": 2}
-    assert len(memory_tier) == 0 and memory_tier.nbytes == 0
+    with monkeypatch.context() as m:
+        _refuse_disk(m)
+        got = [reconstruct(d, "bc", tract, disp, params, constraint) for constraint in modes]
+        out = forward_solve(got[0].tractions, "bc", disp, params)
+    assert counters() == {"assemblies": 1, "factorizations": 1}
+    assert [(r.matrix_source, r.inverse_source) for r in got] == [
+        ("assembled", "factorized"), ("memory", "factorized"), ("memory", "memory")]
+    assert len(memory_tier) == 3
+    assert list(tmp_path.iterdir()) == []
+
+    def fields(report):
+        kept = report.as_dict()
+        del kept["timings_ms"], kept["matrix_source"], kept["inverse_source"]
+        return _bits(report), kept
+
+    for report, constraint in zip(got, modes):
+        memory_tier.clear()
+        assert fields(report) == fields(reconstruct(d, "bc", tract, disp, params, constraint))
+    memory_tier.clear()
+    want = forward_solve(got[0].tractions, "bc", disp, params)
+    assert out.values.tobytes() == want.values.tobytes()
 
 
 def test_held_state_is_read_only(pad, params, tmp_path):

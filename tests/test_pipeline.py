@@ -187,6 +187,7 @@ def test_warm_reconstruct_is_uncached_bitwise(pad, params, tmp_path, model):
     q_true = synth_contact(IndenterSpec("hemisphere", 9e-3, (6e-3, 6e-3), 1.8), tract)
     d = apply_forward(assemble(model, tract, disp, params), q_true)
     want = reconstruct(d, model, tract, disp, params)
+    pipeline.memory_tier.clear()
     reset_counters()
     cold = reconstruct(d, model, tract, disp, params, cache_dir=tmp_path)
     assert counters() == {"assemblies": 1, "factorizations": 1}
@@ -294,6 +295,7 @@ def test_damaged_matrix_entry_is_reassembled(pad, params, tmp_path, caplog, cons
     tract, disp = pad
     d = np.full(36, 1e-6)
     want = reconstruct(d, "love", tract, disp, params, constraint=constraint)
+    pipeline.memory_tier.clear()
     reconstruct(d, "love", tract, disp, params, constraint=constraint, cache_dir=tmp_path)
     (entry,) = tmp_path.glob("*.npy")
     C = np.load(entry)
@@ -347,6 +349,7 @@ def test_nonneg_times_forming_its_system_apart_from_the_solve(pad, params, tmp_p
 
     monkeypatch.setattr(solvers, "NnlsSystem", SlowSystem)
     for cache_dir in (None, tmp_path):
+        pipeline.memory_tier.clear()
         cold = reconstruct(d, "bc", tract, disp, params, constraint="nonneg", cache_dir=cache_dir)
         assert cold.inverse_source == "factorized"
         assert cold.timings_ms["inversion_ms"] >= 50.0
