@@ -285,32 +285,35 @@ def reconstruct(
         state, source, seconds = _obtain(key, "nnls", lambda: solvers.NnlsSystem(mat.entries))
         solve = solvers.nnls_solve
     timings["inversion_ms" if source is None else "inverse_load_ms"] = 1e3 * seconds
-    t0 = time.perf_counter()
-    solved = solve(state, dv)
-    timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
-    if constraint == "free":
-        q, kept = solved, state.singular_values[: state.rank]
-        recon = mat.entries @ q
-        mode_fields = {
-            "rank": state.rank,
-            "singular_value_range": (float(kept[-1]), float(kept[0])) if state.rank else None,
-        }
-    else:
-        q, recon = solved.x, solved.fitted  # C q, formed for the residual
-        mode_fields = {
-            "rank": None,
-            "converged": solved.converged,
-            "iterations": solved.iterations,
-            "free_set_solver": solved.free_set_solver,
-            "kkt_tolerance": solved.kkt_tolerance,
-            "active_set_size": int(np.count_nonzero(q > 0.0)),
-        }
-    residual = recon - dv
-    residual_norm = math.sqrt(residual.dot(residual))  # as np.linalg.norm forms it
-    if not (math.isfinite(residual_norm) and np.isfinite(q).all()):
-        raise NumericalFailureError(
-            "the %s solve of data up to %g is not finite" % (constraint, np.max(np.abs(dv)))
-        )
+    # data too large for float64 overflows on the way; the non-finite
+    # result is raised below, so numpy's warnings about it are not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0 = time.perf_counter()
+        solved = solve(state, dv)
+        timings["online_ms"] = 1e3 * (time.perf_counter() - t0)
+        if constraint == "free":
+            q, kept = solved, state.singular_values[: state.rank]
+            recon = mat.entries @ q
+            mode_fields = {
+                "rank": state.rank,
+                "singular_value_range": (float(kept[-1]), float(kept[0])) if state.rank else None,
+            }
+        else:
+            q, recon = solved.x, solved.fitted  # C q, formed for the residual
+            mode_fields = {
+                "rank": None,
+                "converged": solved.converged,
+                "iterations": solved.iterations,
+                "free_set_solver": solved.free_set_solver,
+                "kkt_tolerance": solved.kkt_tolerance,
+                "active_set_size": int(np.count_nonzero(q > 0.0)),
+            }
+        residual = recon - dv
+        residual_norm = math.sqrt(residual.dot(residual))  # as np.linalg.norm forms it
+        if not (math.isfinite(residual_norm) and np.isfinite(q).all()):
+            raise NumericalFailureError(
+                "the %s solve of data up to %g is not finite" % (constraint, np.max(np.abs(dv)))
+            )
     return SolveReport(
         tractions=FieldVector(q, tract_grid),
         reconstructed_displacements=recon,

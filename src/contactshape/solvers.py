@@ -20,11 +20,21 @@ algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
   (Hestenes & Stiefel, J. Res. NBS 49, 1952), which is positive
   definite and no worse conditioned than H: the swaps need only the
   signs of x and y, and the first swaps make A far larger than the
-  final one.  When a search iterate shows no infeasible index, or its
-  count stops falling, the certify phase solves that partition again
-  exactly (an LU solve) and takes exact steps from then on, so the
-  optimum is declared on an exact step only.  With ``SEARCH_CG_STEPS``
-  = 0 every step is exact.
+  final one.  So the search runs in float32, on a copy of H that
+  ``NnlsSystem`` holds beside it, and reads half the bytes (a low
+  precision search checked in double, as in Carson & Higham, SIAM J.
+  Sci. Comput. 40(2), 2018).  The copy is H / 2^e_H and the search's
+  right-hand side x_u / 2^e_x, with e_H and e_x the exponents of their
+  largest entries: both then lie within float32's range for any H that
+  ``_held_inverse`` admits, whatever the scale of C and d.  The
+  search's x and y come back times the same exact powers of two before
+  their signs are tested, so its tolerances are the exact steps', and
+  a solve scaled by powers of two takes the same steps.  When a search
+  iterate shows no infeasible index, or its count stops falling, the
+  certify phase solves that partition again exactly (a float64 LU
+  solve on H) and takes exact steps from then on, so the optimum is
+  declared on an exact float64 step only.  With ``SEARCH_CG_STEPS`` =
+  0 every step is exact.
   The residual ||C max(x, 0) - d|| is formed after the steps, not in them.
 - "lawson-hanson": otherwise (fewer rows than columns, or G singular or
   too ill-conditioned), where pivoting may cycle, the Lawson-Hanson
@@ -40,6 +50,7 @@ a partition is not an iteration of its own), for Lawson-Hanson its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +111,10 @@ class NnlsSystem:
 
     C must be a finite 2-d matrix with at least one column; it is
     copied unless it is read-only already.  ``inverse_gram`` is the
-    read-only H = (C^T C)^-1 the Schur steps use, or None where the
-    solves run Lawson-Hanson (``_held_inverse``).
+    read-only H = (C^T C)^-1 the exact Schur steps use, or None where
+    the solves run Lawson-Hanson (``_held_inverse``); ``search_gram`` is
+    the read-only float32 copy of H / 2^``search_exponent`` the search
+    steps read (module docstring); both are None without H.
     """
 
     def __init__(self, C):
@@ -116,15 +129,24 @@ class NnlsSystem:
             C = C.copy()
             C.flags.writeable = False
         H = _held_inverse(C)
+        H32 = exponent = None
         if H is not None:
             H.flags.writeable = False
+            # H is positive definite, so its largest entry is on the diagonal
+            exponent = math.frexp(np.max(np.diagonal(H)))[1]
+            H32 = np.ldexp(H, -exponent).astype(np.float32)
+            H32.flags.writeable = False
         self.matrix = C
         self.inverse_gram = H
+        self.search_gram = H32
+        self.search_exponent = exponent
 
 
 def _cg(M, b, steps):
     """``steps`` conjugate-gradient steps on M y = b from y = 0, M
-    symmetric positive definite; fewer once the residual vanishes."""
+    symmetric positive definite, in the precision of M and b; fewer once
+    the residual or the curvature p^T M p vanishes (in float32 a block
+    of a few cells underflows both within a few steps)."""
     y = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -133,7 +155,10 @@ def _cg(M, b, steps):
         if not rr > 0.0:
             break
         Mp = M @ p
-        alpha = rr / (p @ Mp)
+        pMp = p @ Mp
+        if not pMp > 0.0:
+            break
+        alpha = rr / pMp
         y += alpha * p
         r -= alpha * Mp
         rr, rr_old = r @ r, rr
@@ -144,18 +169,18 @@ def _cg(M, b, steps):
 def _schur_step(H, x_u, free, cg_steps):
     """The iterate x and dual y of the partition whose active set is
     ~free: H[A, A] y_A = -x_u[A] solved by LU, or by ``cg_steps``
-    conjugate-gradient steps where that is positive."""
+    conjugate-gradient steps where that is positive, in the precision
+    of H (x and y are float64 either way)."""
     active = np.flatnonzero(~free)
     y = np.zeros(len(x_u))
     x = x_u
     if active.size:
         rows = H[active]
         block = rows.take(active, axis=1)
-        if cg_steps:
-            y[active] = _cg(block, -x_u[active], cg_steps)
-        else:
-            y[active] = np.linalg.solve(block, -x_u[active])
-        x = x_u + y[active] @ rows
+        b = -x_u[active].astype(H.dtype, copy=False)
+        y_active = _cg(block, b, cg_steps) if cg_steps else np.linalg.solve(block, b)
+        y[active] = y_active
+        x = x_u + y_active @ rows
         x[active] = 0.0
     return x, y
 
@@ -167,16 +192,22 @@ def _infeasible(x, y, free, tol):
     return (free & (x < -xtol)) | (~free & (y < -tol))
 
 
-def _block_pivoting(C, H, d, ctd, tol, limit):
+def _block_pivoting(system, d, ctd, tol, limit):
     """Block principal pivoting with Schur steps on the active rows of
-    H, searching with conjugate-gradient steps and certifying with exact
-    ones (module docstring), for at most ``limit`` iterations; see
-    ``nnls_solve`` for what it returns at that cap.  The iterates are
-    kept, search and exact alike, and the fit C max(x, 0) and its
-    residual are formed after the loop: for the last, or at the cap for
-    each."""
+    H, searching with float32 conjugate-gradient steps and certifying
+    with exact float64 ones (module docstring), for at most ``limit``
+    iterations; see ``nnls_solve`` for what it returns at that cap.  The
+    iterates are kept, search and exact alike, and the fit C max(x, 0)
+    and its residual are formed after the loop: for the last, or at the
+    cap for each."""
+    C, H = system.matrix, system.inverse_gram
     n = C.shape[1]
     x_u = H @ ctd
+    # the search runs on x_u / 2^e_x and H / 2^e_H, so its x comes back
+    # times 2^e_x and its y times 2^(e_x - e_H), both exactly
+    e_x = math.frexp(np.max(np.abs(x_u)))[1]
+    e_y = e_x - system.search_exponent
+    x_u_scaled = np.ldexp(x_u, -e_x)
     free = np.ones(n, dtype=bool)
     x, y = x_u, np.zeros(n)
     iterates = [x]
@@ -212,7 +243,11 @@ def _block_pivoting(C, H, d, ctd, tol, limit):
                 bad = np.zeros(n, dtype=bool)
                 bad[idx] = True
         free ^= bad
-        x, y = _schur_step(H, x_u, free, cg_steps)
+        if cg_steps:
+            x, y = _schur_step(system.search_gram, x_u_scaled, free, cg_steps)
+            x, y = np.ldexp(x, e_x), np.ldexp(y, e_y)
+        else:
+            x, y = _schur_step(H, x_u, free, 0)
         iterates.append(x)
     # the last iterate, or at the cap the lowest-residual one (x = 0 wins ties)
     candidates = iterates[-1:] if converged else [np.zeros(n)] + iterates
@@ -278,17 +313,17 @@ def nnls_solve(C, d) -> NnlsResult:
     for float64) raises ``NumericalFailureError``.
     """
     system = C if isinstance(C, NnlsSystem) else NnlsSystem(C)
-    C, H = system.matrix, system.inverse_gram
+    C = system.matrix
     d = field_values(d, C.shape[0], "data vector")
     ctd = C.T @ d
     tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
-    if H is None:
+    if system.inverse_gram is None:
         limit = max(NNLS_MAX_ITERATIONS, 3 * C.shape[1])
         x, fit, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
         solver = "lawson-hanson"
     else:
         x, fit, residual, iterations, converged = _block_pivoting(
-            C, H, d, ctd, tol, NNLS_MAX_ITERATIONS
+            system, d, ctd, tol, NNLS_MAX_ITERATIONS
         )
         solver = "schur"
     if not np.isfinite(residual):

@@ -731,3 +731,20 @@ def test_a_non_finite_solve_is_a_numerical_failure_and_writes_nothing(
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numerical-failure:")
     assert not out_path.exists() and not report_path.exists()
+
+
+@pytest.mark.parametrize("constraint", pipeline.CONSTRAINT_MODES)
+def test_a_non_finite_solve_prints_only_its_error_line(grid_file, tmp_path, constraint):
+    # a fresh process, since pytest captures the warnings numpy would print
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e300\n" for _ in range(9)))
+    out = subprocess.run(
+        [sys.executable, "-m", "contactshape.cli", "reconstruct",
+         "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+         "--displacements", str(d_path), "--constraint", constraint],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactshape.__file__))),
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical-failure:")

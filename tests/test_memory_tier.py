@@ -145,11 +145,14 @@ def test_held_state_is_read_only(pad, params, tmp_path):
     mat = memory_tier.get(key, "matrix")
     op = memory_tier.get(key, "inverse")
     system = memory_tier.get(key, "nnls")
-    held = [mat.entries, op.pinv, op.singular_values, system.matrix, system.inverse_gram]
+    held = [mat.entries, op.pinv, op.singular_values, system.matrix, system.inverse_gram,
+            system.search_gram]
     assert not any(a.flags.writeable for a in held)
     assert system.matrix is mat.entries  # one C, not a copy of it
     H = np.linalg.inv(mat.entries.T @ mat.entries)
     assert system.inverse_gram.tobytes() == H.tobytes()
+    # the search's float32 copy of H, half its bytes, is counted with it
+    assert system.search_gram.nbytes * 2 == H.nbytes
     assert len(memory_tier) == 3
     assert memory_tier.nbytes == sum(a.nbytes for a in held)
     with pytest.raises(ValueError):
@@ -243,8 +246,15 @@ def test_nnls_system_is_formed_from_its_matrix_only(params):
     system = solvers.NnlsSystem(C)
     assert system.matrix is not C and C.flags.writeable  # a writeable C is copied
     assert not system.matrix.flags.writeable and not system.inverse_gram.flags.writeable
-    assert system.inverse_gram.tobytes() == np.linalg.inv(C.T @ C).tobytes()
-    assert set(vars(system)) == {"matrix", "inverse_gram"}  # G is not kept
+    H = np.linalg.inv(C.T @ C)
+    assert system.inverse_gram.tobytes() == H.tobytes()
+    # the search's read-only copy: H / 2^e rounded to float32, its largest entry in [1/2, 1)
+    assert not system.search_gram.flags.writeable
+    rounded = np.ldexp(H, -system.search_exponent).astype(np.float32)
+    assert system.search_gram.tobytes() == rounded.tobytes()
+    assert 0.5 <= np.max(np.abs(system.search_gram)) < 1.0
+    # G is not kept
+    assert set(vars(system)) == {"matrix", "inverse_gram", "search_gram", "search_exponent"}
     want, got = nnls_solve(C, d), nnls_solve(system, d)
     assert got.x.tobytes() == want.x.tobytes()
     assert (got.iterations, got.residual, got.kkt_tolerance, got.free_set_solver) == (
@@ -252,7 +262,7 @@ def test_nnls_system_is_formed_from_its_matrix_only(params):
     held = solvers.NnlsSystem(system.matrix)
     assert held.matrix is system.matrix  # a read-only C is not
     wide = solvers.NnlsSystem(C[:10])
-    assert wide.inverse_gram is None
+    assert wide.inverse_gram is None and wide.search_gram is None
     assert nnls_solve(wide, d[:10]).free_set_solver == "lawson-hanson"
     with pytest.raises(InvalidArgumentError):
         solvers.NnlsSystem(np.full((2, 2), np.nan))

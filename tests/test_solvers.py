@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -117,7 +119,7 @@ def test_schur_steps_at_the_cap_return_the_lowest_residual_iterate():
     residuals = [np.linalg.norm(d)]
     for limit in range(1, res.iterations):
         x, fit, residual, iterations, converged = solvers._block_pivoting(
-            C, system.inverse_gram, d, ctd, tol, limit)
+            system, d, ctd, tol, limit)
         assert iterations == limit and not converged
         assert residual == np.linalg.norm(C @ np.maximum(x, 0.0) - d)
         assert fit.tobytes() == (C @ np.maximum(x, 0.0)).tobytes()
@@ -195,24 +197,26 @@ def _assert_kkt(C, d, res):
     assert np.all(np.abs(g[res.x > 0.0]) <= res.kkt_tolerance)
 
 
-def _recording_steps(monkeypatch):
-    """Record (active cells, CG steps) of every Schur step; 0 steps is exact."""
+def _recording_steps(monkeypatch, dtypes=None):
+    """Record (active cells, CG steps) of every Schur step; 0 steps is
+    exact.  The dtype of the matrix each step read goes to ``dtypes``."""
     steps = []
     schur_step = solvers._schur_step
 
     def record(H, x_u, free, cg_steps):
         steps.append((int(np.count_nonzero(~free)), cg_steps))
+        if dtypes is not None:
+            dtypes.append(H.dtype)
         return schur_step(H, x_u, free, cg_steps)
 
     monkeypatch.setattr(solvers, "_schur_step", record)
     return steps
 
 
-def test_the_search_certifies_the_exact_steps_partition(monkeypatch):
-    # the noisy 24x24 bc skin frames of the two tests above
+def _skin_frames():
+    """C of the 24x24 bc skin and the eight noisy frames of the tests above."""
     tract = build_regular_grid((-23e-3, -23e-3), 24, 24, 2e-3, 2e-3)
     C = assemble("bc", tract, tract.retag("displacement"), ElastomerParams()).entries
-    system = solvers.NnlsSystem(C)
     frames = []
     for seed, diameter, cy, probes in (
         (11, 9e-3, -4e-3, (("hemisphere", -6e-3, 0.6), ("hemisphere", -6e-3, 1.8),
@@ -223,6 +227,13 @@ def test_the_search_certifies_the_exact_steps_partition(monkeypatch):
     ):
         specs = [IndenterSpec(shape, diameter, (cx, cy), force) for shape, cx, force in probes]
         frames.extend(_noisy_frames(C, tract, specs, np.random.default_rng(seed)))
+    return C, frames
+
+
+def test_the_search_certifies_the_exact_steps_partition(monkeypatch):
+    # the noisy 24x24 bc skin frames of the two tests above
+    C, frames = _skin_frames()
+    system = solvers.NnlsSystem(C)
     steps = _recording_steps(monkeypatch)
     default = solvers.SEARCH_CG_STEPS
     results = {}
@@ -258,6 +269,46 @@ def test_the_search_certifies_the_exact_steps_partition(monkeypatch):
         assert [res.iterations for res in results[search]] == [4, 5, 5, 5, 5, 4, 5, 5]
 
 
+def test_search_steps_read_the_float32_copy_and_exact_steps_the_float64_h(monkeypatch):
+    C, frames = _skin_frames()
+    system = solvers.NnlsSystem(C)
+    dtypes = []
+    steps = _recording_steps(monkeypatch, dtypes)
+    for search in (solvers.SEARCH_CG_STEPS, 0, 1, 2):
+        monkeypatch.setattr(solvers, "SEARCH_CG_STEPS", search)
+        for d in frames:
+            del steps[:], dtypes[:]
+            assert nnls_solve(system, d).converged
+            assert dtypes == [np.float32 if cg else np.float64 for _, cg in steps]
+            assert steps[-1][1] == 0  # the optimum is declared on an exact step
+
+
+def test_the_search_is_equivariant_under_power_of_two_scaling(monkeypatch):
+    # C times 2^k and d times 2^j give x times 2^(j - k) bitwise, by the
+    # same steps: the search's float32 copy and right-hand side are scaled
+    # by powers of two, so they neither overflow nor lose bits
+    C, frames = _skin_frames()
+    steps = _recording_steps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = solvers.NnlsSystem(C)
+        reference = []
+        for d in frames:
+            del steps[:]
+            res = nnls_solve(system, d)
+            reference.append((res.x, res.iterations, list(steps)))
+        for k in (-100, -60, 60, 100):
+            scaled = solvers.NnlsSystem(np.ldexp(C, k))
+            assert scaled.search_gram.tobytes() == system.search_gram.tobytes()
+            assert scaled.search_exponent == system.search_exponent - 2 * k
+            for j in (-100, 0, 100):
+                for d, (x, iterations, ref_steps) in zip(frames, reference):
+                    del steps[:]
+                    res = nnls_solve(scaled, np.ldexp(d, j))
+                    assert res.x.tobytes() == np.ldexp(x, j - k).tobytes()
+                    assert (res.iterations, steps) == (iterations, ref_steps)
+
+
 def test_cg_stops_once_its_residual_vanishes():
     b = np.array([1.0, -2.0, 3.0])
     # one step solves M = I exactly; the steps after it must not divide by 0
@@ -265,6 +316,19 @@ def test_cg_stops_once_its_residual_vanishes():
     np.testing.assert_array_equal(solvers._cg(np.eye(3), np.zeros(3), 5), np.zeros(3))
     M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     np.testing.assert_allclose(solvers._cg(M, b, 3), np.linalg.solve(M, b), rtol=1e-12)
+    # a float32 block gives a float32 result, in float32's accuracy; on
+    # this 1x1 block the float32 residual and curvature underflow within
+    # four steps, which must end the steps without a division by zero
+    M32, b32 = M.astype(np.float32), b.astype(np.float32)
+    M1 = np.array([[0.045592308044433594]], dtype=np.float32)
+    b1 = np.array([0.4036603569984436], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, y1 = solvers._cg(M32, b32, 3), solvers._cg(M1, b1, 6)
+        assert solvers._cg(np.eye(3, dtype=np.float32), b32, 5).tobytes() == b32.tobytes()
+    assert y.dtype == np.float32 and y1.dtype == np.float32
+    np.testing.assert_allclose(y, np.linalg.solve(M, b), rtol=1e-5)
+    np.testing.assert_allclose(y1, b1 / M1[0], rtol=1e-6)
 
 
 def test_scaled_data_gives_the_scaled_solution():

@@ -141,3 +141,10 @@ def test_only_fme_uses_rational_arithmetic():
     """FME's one arithmetic, exact rationals, stays in its one module."""
     found = imports_of({"fractions"})
     assert found and [f for f in found if not f.startswith("fme.py:")] == []
+
+
+def test_only_solvers_computes_in_single_precision():
+    """Every result is float64; the NNLS search is the one float32 path,
+    and its certifying step is float64 (``solvers``)."""
+    found = [p.name for p in sorted(PACKAGE_DIR.glob("*.py")) if "float32" in p.read_text()]
+    assert found == ["solvers.py"]
