@@ -48,6 +48,7 @@ import numpy as np
 
 from . import boussinesq, love
 from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedModelError
+from .errors import check_choice
 from .grid import Grid, field_values
 
 logger = logging.getLogger(__name__)
@@ -109,8 +110,7 @@ class InverseOperator:
 def _validate(model: str, psi_mode: str, params) -> None:
     if model not in MODELS:
         raise UnsupportedModelError("model must be one of %s, got %r" % (MODELS, model))
-    if psi_mode not in PSI_MODES:
-        raise InvalidArgumentError("psi mode must be one of %s, got %r" % (PSI_MODES, psi_mode))
+    check_choice("psi mode", psi_mode, PSI_MODES)
     if model == "bc":
         boussinesq.require_incompressible(params.poisson_ratio)
     elif psi_mode != "const":

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularPointError, UnsupportedModelError
-from .errors import check_entries, check_finite, check_positive
+from .errors import check_choice, check_entries, check_finite, check_positive
 
 PSI_MODES = ("const", "exact")
 
@@ -69,13 +69,12 @@ def psi(x, mode: str = "const"):
     large x, and 0.25 is the convenient round value used for design).
     ``x`` may be an array, whose entries must all be valid.
     """
+    check_choice("psi mode", mode, PSI_MODES)
     if mode == "const":
         return PSI_CONST
-    if mode == "exact":
-        if not np.all((0.0 < x) & (x < math.inf)):
-            raise InvalidArgumentError("psi exact mode needs a finite x > 0, got %r" % (x,))
-        return (PSI_SLOPE * x - PSI_OFFSET) / x
-    raise InvalidArgumentError("psi mode must be one of %s" % (PSI_MODES,))
+    if not np.all((0.0 < x) & (x < math.inf)):
+        raise InvalidArgumentError("psi exact mode needs a finite x > 0, got %r" % (x,))
+    return (PSI_SLOPE * x - PSI_OFFSET) / x
 
 
 def _green(x: float, y: float, z: float, young_modulus: float):

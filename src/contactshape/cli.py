@@ -24,8 +24,6 @@ from .errors import ContactShapeError, InvalidArgumentError
 from .grid import build_regular_grid, load_grid, read_field, save_grid, write_field
 from .sensor import ElastomerParams
 
-logger = logging.getLogger(__name__)
-
 
 def _load_params(path) -> ElastomerParams:
     if path is None:
@@ -175,6 +173,8 @@ def _cmd_reconstruct(args):
     dg = load_grid(args.disp_grid, "displacement")
     if (args.displacements is None) == (args.readings is None):
         raise InvalidArgumentError("give exactly one of --displacements or --readings")
+    if args.tolerant and args.displacements:
+        raise InvalidArgumentError("--tolerant applies to --readings only")
     if args.displacements:
         dv = read_field(args.displacements, dg).values
     else:

@@ -81,3 +81,9 @@ def check_count(what: str, value) -> None:
     """``value`` must be an integer, not a bool, and >= 0; errors name ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise InvalidArgumentError("%s must be a non-negative integer, got %r" % (what, value))
+
+
+def check_choice(what: str, value, choices) -> None:
+    """``value`` must be an entry of ``choices``; errors name ``what``."""
+    if value not in choices:
+        raise InvalidArgumentError("%s must be one of %s, got %r" % (what, choices, value))

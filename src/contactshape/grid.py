@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContactShapeError, InvalidArgumentError, check_count, check_positive
+from .errors import ContactShapeError, InvalidArgumentError, check_choice, check_count
+from .errors import check_positive
 
 # Two cell centers closer than this are considered the same physical taxel.
 DUPLICATE_CENTER_TOL = 1e-9
@@ -44,8 +45,7 @@ class Grid:
     kind: str = "traction"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidArgumentError("grid kind must be one of %s" % (KINDS,))
+        check_choice("grid kind", self.kind, KINDS)
         cells = np.array(self.cells, dtype=np.float64, order="C")
         if cells.ndim != 2 or cells.shape[1] != 4 or len(cells) == 0:
             raise InvalidArgumentError("grid needs a non-empty (n, 4) array of cells")

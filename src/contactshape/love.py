@@ -55,7 +55,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, OracleFailureError
-from .errors import check_entries, check_finite, check_positive
+from .errors import check_choice, check_entries, check_finite, check_positive
 
 # A weight smaller than this fraction of the local length scale forces
 # its (removable-limit) term to zero.
@@ -175,17 +175,13 @@ def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray
     """Effective displacement per unit pressure on one cell.
 
     ``delta`` is the in-plane offset of the sensing node from the cell
-    center.  Each component is the same closed form evaluated at the
-    surface minus its value at depth h_c.
+    center.  It is ``love_displacement`` of unit pressure at the surface
+    minus its value at depth h_c.
     """
     check_entries("node offset", delta, 2)
-    a, b, x, y, _ = _check_cell_point(half_extents, (*delta, 0.0))
     check_positive("cover thickness", h_c)
-    E = params.young_modulus
-    nu = params.poisson_ratio
-    ab, xy = np.array([a, b]), np.array([x, y])
-    cxy = _ux(ab, ab[::-1], xy, xy[::-1], 0.0, E, nu) - _ux(ab, ab[::-1], xy, xy[::-1], h_c, E, nu)
-    return np.append(cxy, love_effective_zz(x, y, a, b, h_c, E, nu))
+    surface = love_displacement(1.0, half_extents, (*delta, 0.0), params)
+    return surface - love_displacement(1.0, half_extents, (*delta, h_c), params)
 
 
 def love_effective_zz(
@@ -299,6 +295,7 @@ def love_potential_oracle(p: float, cell, pt, which: str, rel_tol: float = 1e-9)
     check_finite("pressure", p)
     check_positive("relative tolerance", rel_tol)
     a, b, x, y, z = _check_cell_point(cell, pt)
+    check_choice("potential", which, ("chi", "V"))
     if which == "chi":
         z = max(z, ORACLE_Z_FLOOR)
 
@@ -307,15 +304,13 @@ def love_potential_oracle(p: float, cell, pt, which: str, rel_tol: float = 1e-9)
             dyv = yy - y
             return math.log(z + math.sqrt(dx * dx + dyv * dyv + z * z))
 
-    elif which == "V":
+    else:
 
         def f(xx, yy):
             dx = xx - x
             dyv = yy - y
             return 1.0 / math.sqrt(dx * dx + dyv * dyv + z * z)
 
-    else:
-        raise InvalidArgumentError("potential must be 'chi' or 'V', got %r" % which)
     val, err = _integrate_cell(f, a, b, x, y, rel_tol)
     if err > 50.0 * rel_tol * max(abs(val), 1e-300):
         raise OracleFailureError(

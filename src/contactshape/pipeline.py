@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly, solvers
 from .errors import InvalidArgumentError, NumericalFailureError, check_count, check_entries
-from .errors import check_finite, check_positive
+from .errors import check_choice, check_finite, check_positive
 from .grid import FieldVector, Grid, build_regular_grid, field_values
 from .sensor import ElastomerParams
 
@@ -48,10 +48,7 @@ class IndenterSpec:
     force: float
 
     def __post_init__(self):
-        if self.shape not in INDENTER_SHAPES:
-            raise InvalidArgumentError(
-                "indenter shape must be one of %s, got %r" % (INDENTER_SHAPES, self.shape)
-            )
+        check_choice("indenter shape", self.shape, INDENTER_SHAPES)
         check_positive("indenter diameter", self.diameter)
         check_entries("indenter center", self.center, 2)
         check_positive("force", self.force)
@@ -262,10 +259,7 @@ def reconstruct(
     stream of frames reads no file and inverts nothing after its first.
     Non-finite tractions or residual raise ``NumericalFailureError``.
     """
-    if constraint not in CONSTRAINT_MODES:
-        raise InvalidArgumentError(
-            "constraint must be one of %s, got %r" % (CONSTRAINT_MODES, constraint)
-        )
+    check_choice("constraint", constraint, CONSTRAINT_MODES)
     dv = field_values(displacements, len(disp_grid), "displacement vector")
     key, mat, mat_source, seconds = _obtain_matrix(
         model, tract_grid, disp_grid, params, psi_mode, cache_dir
@@ -341,10 +335,16 @@ def forward_solve(
 
     The matrix comes from memory or ``cache_dir`` when either holds one
     for exactly these inputs; otherwise it is assembled, and saved
-    there (see ``reconstruct``).
+    there (see ``reconstruct``).  A displacement that is not finite
+    raises ``NumericalFailureError``.
     """
     mat = _obtain_matrix(model, tractions.grid, disp_grid, params, psi_mode, cache_dir)[1]
-    return FieldVector(assembly.apply_forward(mat, tractions), disp_grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below, not warned
+        d = assembly.apply_forward(mat, tractions)
+    if not np.isfinite(d).all():
+        top = abs(tractions.values).max()
+        raise NumericalFailureError("the forward solve of pressures up to %g is not finite" % top)
+    return FieldVector(d, disp_grid)
 
 
 def resample(
@@ -366,8 +366,6 @@ class ModelComparison:
     x: np.ndarray
     love_uz: np.ndarray
     bc_uz: dict  # psi mode -> profile
-    pressure: float
-    half_extents: tuple[float, float]
 
     def peak(self, which: str) -> float:
         prof = self.love_uz if which == "love" else self.bc_uz[which]
@@ -419,7 +417,7 @@ def compare_models(
         return assembly.assemble(model, cell, line, params, psi_mode).entries[:, 0] * pressure
 
     bc_uz = {mode: profile("bc", mode) for mode in assembly.PSI_MODES}
-    return ModelComparison(xs, profile("love"), bc_uz, pressure, (a, b))
+    return ModelComparison(xs, profile("love"), bc_uz)
 
 
 @dataclass(frozen=True)

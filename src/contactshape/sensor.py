@@ -31,7 +31,7 @@ class ElastomerParams:
     """Material and sensor constants for one skin patch.
 
     The elastic defaults describe the silicone cover used throughout:
-    E = 2.1e5 Pa, nu = 0.5 (incompressible), h_n = 2 mm.  The
+    E = 2.1e5 Pa, nu = 0.5 (incompressible), h_n = 2 mm.  The relative
     permittivity and electrode area defaults are placeholders; real
     capacitance ingestion needs calibrated values for the actual sensor.
     """
@@ -39,7 +39,6 @@ class ElastomerParams:
     young_modulus: float = 2.1e5
     poisson_ratio: float = 0.5
     nominal_thickness: float = 2e-3
-    permittivity_vacuum: float = VACUUM_PERMITTIVITY
     permittivity_relative: float = 1.0
     taxel_area: float = 5e-5
 
@@ -54,7 +53,7 @@ class ElastomerParams:
     @property
     def capacitance_scale(self) -> float:
         """eps0 * eps_r * A, the numerator constant of the taxel model."""
-        return self.permittivity_vacuum * self.permittivity_relative * self.taxel_area
+        return VACUUM_PERMITTIVITY * self.permittivity_relative * self.taxel_area
 
 
 @dataclass(frozen=True)

@@ -315,17 +315,18 @@ def nnls_solve(C, d) -> NnlsResult:
     system = C if isinstance(C, NnlsSystem) else NnlsSystem(C)
     C = system.matrix
     d = field_values(d, C.shape[0], "data vector")
-    ctd = C.T @ d
-    tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
-    if system.inverse_gram is None:
-        limit = max(NNLS_MAX_ITERATIONS, 3 * C.shape[1])
-        x, fit, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
-        solver = "lawson-hanson"
-    else:
-        x, fit, residual, iterations, converged = _block_pivoting(
-            system, d, ctd, tol, NNLS_MAX_ITERATIONS
-        )
-        solver = "schur"
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below, not warned
+        ctd = C.T @ d
+        tol = NNLS_KKT_RTOL * max(np.max(np.abs(ctd)), np.finfo(float).tiny)
+        if system.inverse_gram is None:
+            limit = max(NNLS_MAX_ITERATIONS, 3 * C.shape[1])
+            x, fit, residual, iterations, converged = _lawson_hanson(C, d, ctd, tol, limit)
+            solver = "lawson-hanson"
+        else:
+            x, fit, residual, iterations, converged = _block_pivoting(
+                system, d, ctd, tol, NNLS_MAX_ITERATIONS
+            )
+            solver = "schur"
     if not np.isfinite(residual):
         raise NumericalFailureError("NNLS residual %r on data up to %g" % (residual, abs(d).max()))
     return NnlsResult(np.maximum(x, 0.0), residual, iterations, converged, float(tol), solver, fit)

@@ -16,6 +16,7 @@ import pytest
 from contactshape import (
     ElastomerParams,
     InvalidArgumentError,
+    NumericalFailureError,
     UnsupportedModelError,
     apply_forward,
     apply_inverse,
@@ -207,6 +208,17 @@ def test_apply_rejects_non_finite_vectors(small_grids, params, bad):
         apply_forward(mat, v)
     with pytest.raises(InvalidArgumentError, match="finite"):
         apply_inverse(op, v)
+
+
+def test_a_failed_svd_is_a_numerical_failure(small_grids, params, monkeypatch):
+    mat = assemble("bc", *small_grids, params)
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(NumericalFailureError, match="decomposition failed: SVD did not converge"):
+        precompute_inverse(mat)
 
 
 def test_matrix_key_sensitivity(small_grids, params):

@@ -748,3 +748,67 @@ def test_a_non_finite_solve_prints_only_its_error_line(grid_file, tmp_path, cons
     assert out.returncode == 1 and out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numerical-failure:")
+
+
+@pytest.mark.parametrize("command", ["synth", "resample"])
+def test_a_non_finite_forward_solve_prints_only_its_error_line(tmp_path, command):
+    # a fresh process, since pytest captures the warnings numpy would print;
+    # a near-zero modulus makes the forward solve overflow float64
+    grid, params, q, d = (str(tmp_path / n) for n in ("g.csv", "p.json", "q.dat", "d.dat"))
+    (tmp_path / "p.json").write_text(json.dumps({"young_modulus": 1e-306}))
+    assert main(["make-grid", "--nx", "2", "--ny", "1", "--pitch", "2e-3", "--out", grid]) == 0
+    synth = ["synth", "--grid", grid, "--shape", "cylinder", "--diameter", "5e-3",
+             "--center", "2e-3,1e-3", "--force", "3", "--out", q]
+    if command == "synth":
+        argv = synth + ["--params", params, "--displacements-out", d]
+    else:
+        assert main(synth) == 0
+        argv = ["resample", "--tract-grid", grid, "--new-grid", grid, "--tractions", q,
+                "--params", params, "--out", d]
+    out = subprocess.run(
+        [sys.executable, "-m", "contactshape.cli"] + argv,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactshape.__file__))),
+    )
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical-failure:"), out.stderr
+    assert not os.path.exists(d)
+
+
+def test_tolerant_applies_to_readings_only(grid_file, tmp_path, capsys):
+    d_path = tmp_path / "d.dat"
+    d_path.write_text("".join("0 0 1e-6\n" for _ in range(9)))
+    code, out, err = run(
+        ["reconstruct", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file),
+         "--displacements", str(d_path), "--tolerant"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: invalid-argument: --tolerant applies to --readings only\n"
+
+
+def test_tolerant_clamps_a_negative_reading_to_zero(grid_file, tmp_path, capsys):
+    header = "taxel_index,delta_c_F,timestamp_s\n"
+    negative, zero = tmp_path / "negative.csv", tmp_path / "zero.csv"
+    negative.write_text(header + "0,2e-14,\n4,-1e-15,\n")
+    zero.write_text(header + "0,2e-14,\n4,0.0,\n")
+    base = ["reconstruct", "--tract-grid", str(grid_file), "--disp-grid", str(grid_file)]
+    code, _, err = run(base + ["--readings", str(negative)], capsys)
+    assert code == 1 and err.startswith("error: invalid-reading:")
+    outs = [tmp_path / "tolerant.dat", tmp_path / "zero.dat"]
+    assert main(base + ["--readings", str(negative), "--tolerant", "--out", str(outs[0])]) == 0
+    assert main(base + ["--readings", str(zero), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_params_file_naming_the_vacuum_permittivity_is_refused(grid_file, tmp_path, capsys):
+    # the vacuum permittivity is a physical constant, not a setting
+    p = tmp_path / "params.json"
+    p.write_text(json.dumps({"permittivity_vacuum": 8.85e-12}))
+    code, out, err = run(
+        ["assemble", "--params", str(p), "--tract-grid", str(grid_file), "--disp-grid", str(grid_file)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "unknown keys ['permittivity_vacuum']" in err

@@ -10,6 +10,7 @@ ContactShapeError; a silent NaN or inf, or any other exception, fails.
 import dataclasses
 import math
 import numbers
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from contactshape import (
     ContactShapeError,
     ElastomerParams,
+    FieldVector,
+    Grid,
     IndenterSpec,
     InequalitySystem,
     InvalidArgumentError,
@@ -38,6 +41,7 @@ from contactshape import (
     fme_eliminate_all,
     fme_feasible,
     fme_worst_case_count,
+    forward_solve,
     grid_from_taxel_layout,
     love_displacement,
     love_effective_column,
@@ -50,6 +54,7 @@ from contactshape import (
     reconstruct,
     spread_radius,
 )
+from contactshape import solvers
 from contactshape.boussinesq import bc_zz_kernel
 from contactshape.love import love_zz_kernel
 
@@ -90,7 +95,7 @@ CASES = {
         love_potential_oracle, (1e5, (1e-3, 1e-3), (3e-3, 0.0, 1e-3), "V", 1e-6)
     ),
     "IndenterSpec": (IndenterSpec, ("hemisphere", 6e-3, (0.0, 0.0), 1.0)),
-    "ElastomerParams": (ElastomerParams, (2.1e5, 0.5, 2e-3, 8.85e-12, 1.0, 5e-5)),
+    "ElastomerParams": (ElastomerParams, (2.1e5, 0.5, 2e-3, 1.0, 5e-5)),
     "compare_models": (compare_models, (1e5, (5e-4, 2e-4), PARAMS, 5, 3e-3)),
     "grid_from_taxel_layout": (grid_from_taxel_layout, ([[0.0, 0.0], [5e-3, 0.0]], 1.6e-5)),
     "apply_forward": (apply_forward, (MAT, VEC)),
@@ -242,3 +247,45 @@ def test_nnls_residual_that_is_not_finite_is_a_numerical_failure():
     C = assemble("love", PAD, PAD.retag("displacement"), PARAMS).entries
     with pytest.raises(NumericalFailureError, match="NNLS residual"):
         nnls_solve(C, np.full(16, 1e300))
+
+
+@pytest.mark.parametrize("value", [1e300, 1e200])
+@pytest.mark.parametrize("rows, solver", [(16, "schur"), (10, "lawson-hanson")])
+def test_nnls_overflow_raises_without_a_numpy_warning(rows, solver, value):
+    C = assemble("bc", PAD, PAD.retag("displacement"), PARAMS).entries[:rows]
+    assert (solvers.NnlsSystem(C).inverse_gram is None) == (solver == "lawson-hanson")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="NNLS residual"):
+            nnls_solve(C, np.full(rows, value))
+
+
+def test_a_forward_solve_that_is_not_finite_is_a_numerical_failure():
+    """Pressures times a matrix of a near-zero modulus overflow float64:
+    the error is raised, and numpy warns of nothing on the way."""
+    pair = build_regular_grid((0.0, 0.0), 2, 1, 2e-3, 2e-3)
+    soft = ElastomerParams(young_modulus=1e-306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="forward solve of pressures up to 375000"):
+            forward_solve(FieldVector(np.full(2, 3.75e5), pair), "love", pair, soft)
+
+
+# caller -> (what its choice is called, the call with that choice set to v)
+CHOICES = {
+    "assemble": ("psi mode", lambda v: assemble("bc", TRACT, DISP, PARAMS, v)),
+    "psi": ("psi mode", lambda v: psi(2.0, v)),
+    "Grid": ("grid kind", lambda v: Grid(TRACT.cells, v)),
+    "IndenterSpec": ("indenter shape", lambda v: IndenterSpec(v, 6e-3, (0.0, 0.0), 1.0)),
+    "reconstruct": ("constraint", lambda v: reconstruct(VEC, "bc", TRACT, DISP, PARAMS, v)),
+    "love_potential_oracle": (
+        "potential", lambda v: love_potential_oracle(1e5, (1e-3, 1e-3), (3e-3, 0.0, 1e-3), v)
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CHOICES))
+def test_a_value_outside_its_choices_is_named(caller):
+    what, call = CHOICES[caller]
+    with pytest.raises(InvalidArgumentError, match=r"^%s must be one of \(.+\), got 'bogus'$" % what):
+        call("bogus")

@@ -15,6 +15,7 @@ from contactshape import (
     fme_feasible,
     fme_worst_case_count,
 )
+from contactshape import fme
 
 
 def test_system_construction_and_membership():
@@ -164,3 +165,14 @@ def test_fme_projection_matches_direct_search():
             # direct hit must always be inside the projection
             if direct:
                 assert projected
+
+
+def test_a_system_needs_a_variable():
+    with pytest.raises(InvalidArgumentError, match="at least one variable"):
+        InequalitySystem((), (), 0)
+
+
+def test_fme_refuses_a_system_past_the_row_limit(monkeypatch):
+    monkeypatch.setattr(fme, "FME_MAX_ROWS", 1)
+    with pytest.raises(ResourceLimitError, match="^2 rows exceeds the desk-scale limit of 1$"):
+        fme_eliminate(InequalitySystem.from_arrays([[1, 0], [0, 1]], [0, 0]), 0)

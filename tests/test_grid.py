@@ -288,3 +288,9 @@ def test_read_field_refuses_a_value_that_is_not_finite(tmp_path, value):
     p.write_text("0 0 1.0\n0 0 %s\n" % value)
     with pytest.raises(InvalidArgumentError, match=r"^field file .*f\.dat: bad record '0 0 %s'$" % value):
         read_field(p, build_regular_grid((0, 0), 2, 1, 1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("centers", [np.zeros((3, 3)), np.zeros((0, 2))])
+def test_taxel_layout_needs_a_non_empty_n_by_2_array(centers):
+    with pytest.raises(InvalidArgumentError, match=r"non-empty \(n, 2\) array"):
+        grid_from_taxel_layout(centers, 1e-6)

@@ -6,6 +6,7 @@ import pytest
 from contactshape import (
     ElastomerParams,
     InvalidArgumentError,
+    OracleFailureError,
     bc_point_displacement,
     love_displacement,
     love_effective_column,
@@ -113,6 +114,11 @@ def test_argument_guards(incompressible):
         love_effective_column((0, 0), (A, B), 0.0, incompressible)
     with pytest.raises(InvalidArgumentError):
         love_potential_oracle(P, (A, B), (0, 0, 0), "W")
+
+
+def test_an_oracle_short_of_its_tolerance_is_an_oracle_failure():
+    with pytest.raises(OracleFailureError, match="potential quadrature achieved"):
+        love_potential_oracle(P, (A, B), (3e-3, 0.0, 1e-3), "V", rel_tol=1e-30)
 
 
 def test_uz_against_potential_quadrature(incompressible):

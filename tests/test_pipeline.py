@@ -423,7 +423,7 @@ def test_compare_models_guards(params):
 def test_peak_location_plateau_reports_innermost():
     x = np.linspace(-2.0, 2.0, 9)
     flat = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.2, 0.0])
-    cmp = ModelComparison(x, flat, {"const": flat}, 1.0, (1.0, 1.0))
+    cmp = ModelComparison(x, flat, {"const": flat})
     assert cmp.peak_location("love") == 0.0
 
 
@@ -449,7 +449,7 @@ def test_benchmark_guards(params):
             benchmark(models=models, sizes=(4, 16), params=params)
 
 
-@pytest.mark.parametrize("sizes", [(25,), (25, 25), (-4, 4)])
+@pytest.mark.parametrize("sizes", [(25,), (25, 25), (-4, 4), (4, 5), (0, 4)])
 def test_benchmark_needs_two_distinct_perfect_squares(params, sizes):
     with pytest.raises(InvalidArgumentError):
         benchmark(models=("bc",), sizes=sizes, params=params)

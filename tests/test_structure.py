@@ -148,3 +148,15 @@ def test_only_solvers_computes_in_single_precision():
     and its certifying step is float64 (``solvers``)."""
     found = [p.name for p in sorted(PACKAGE_DIR.glob("*.py")) if "float32" in p.read_text()]
     assert found == ["solvers.py"]
+
+
+def test_one_membership_check():
+    """``errors.check_choice`` words every "must be one of" error; the
+    model check raises its own category, ``unsupported-model``."""
+    found = [
+        "%s:%d" % (p.name, i)
+        for p in sorted(PACKAGE_DIR.glob("*.py"))
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "must be one of" in line
+    ]
+    assert [f.split(":")[0] for f in found] == ["assembly.py", "errors.py"], found
