@@ -7,12 +7,18 @@ compression of the cover.  Both models give each column per unit
 pressure; ``bc`` lumps a cell's pressure p into the point force p A at
 its center, so its per-unit-force kernel is scaled by the area A = 4ab.
 Assembly walks the node pairs in row-major order in blocks of
-BLOCK_PAIRS: each block gathers its pairs' offsets and cell
-half-extents into arrays, calls the chosen model's array kernel once,
-and writes the result, times each cell's factor (A for ``bc``, 1 for
-``love``), straight into the matrix.  A block may end in the middle of
-a row.  The cost scales with the pair count, and the memory beyond the
-matrix is that of one block, whatever the grid sizes.
+BLOCK_PAIRS, and a block may end in the middle of a row.  The traction
+columns and the row each pair falls in are laid out once, continued
+cyclically, so a block's cells are one slice of each and its nodes a
+``take`` of its rows' slice of the node coordinates: no per-block index
+arithmetic.  Each block calls the chosen model's array kernel once on
+the pairs' offsets and half-extents, and writes the result, times each
+cell's factor (A for ``bc``, 1 for ``love``), straight into the
+matrix.  The cost scales with the pair count, and the memory beyond
+the matrix is that of one block and of the cyclic columns, whatever
+the grid sizes.  Every kernel is proportional to 1/E, so a modulus
+small enough to overflow it gives a non-finite C, which is a
+``NumericalFailureError`` naming the modulus.
 
 Inversion uses a truncated singular value decomposition (the matrix is
 dense and modest in size; sparsity is not worth chasing at desk scale).
@@ -131,7 +137,8 @@ def assemble(
 
     The cover thickness entering the effective displacement is the
     nominal thickness h_n; per-reading compressed thicknesses only enter
-    the capacitance conversion, not the elastic operator.
+    the capacitance conversion, not the elastic operator.  A modulus so
+    small that C overflows is a NumericalFailureError.
     """
     _validate(model, psi_mode, params)
     h = params.nominal_thickness
@@ -147,17 +154,28 @@ def assemble(
     # the traction columns continued cyclically, so that the cells of any
     # block of pairs are one slice, however many rows the block spans
     tract = [np.resize(col, n_tract + BLOCK_PAIRS) for col in (*tract_grid.cells.T, factor)]
-    nodes = disp_grid.cells[:, :2]
-    pairs = np.arange(BLOCK_PAIRS)
+    # and the rows they fall in: pair r * n_tract + j is on node r + row[j]
+    row = np.arange(n_tract + BLOCK_PAIRS) // n_tract
+    node_x, node_y = disp_grid.cells[:, :2].T.copy()
     entries = np.empty((len(disp_grid), n_tract))
     flat = entries.reshape(-1)  # pair i is sensing node i // n_tract, cell i % n_tract
-    t0 = time.perf_counter()
-    for start in range(0, flat.size, BLOCK_PAIRS):
-        stop = min(start + BLOCK_PAIRS, flat.size)
-        node = nodes[(start + pairs[: stop - start]) // n_tract]
-        x, y, a, b, f = (col[start % n_tract :][: stop - start] for col in tract)
-        np.multiply(kernel(node[:, 0] - x, node[:, 1] - y, a, b), f, out=flat[start:stop])
-    dt = time.perf_counter() - t0
+    # a modulus so small that 1/E overflows makes C non-finite: that is
+    # raised below, so numpy's warnings about it are not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0 = time.perf_counter()
+        for start in range(0, flat.size, BLOCK_PAIRS):
+            stop = min(start + BLOCK_PAIRS, flat.size)
+            r, j = divmod(start, n_tract)
+            block = slice(j, j + stop - start)
+            x, y, a, b, f = (col[block] for col in tract)
+            on = row[block]
+            dx, dy = node_x[r:].take(on) - x, node_y[r:].take(on) - y
+            np.multiply(kernel(dx, dy, a, b), f, out=flat[start:stop])
+        dt = time.perf_counter() - t0
+    if not np.isfinite(entries).all():
+        raise NumericalFailureError(
+            "the %s influence matrix is not finite at young modulus %g" % (model, E)
+        )
     _counters["assemblies"] += 1
     return InfluenceMatrix(entries, model, psi_mode, tract_grid, disp_grid, params, dt)
 

@@ -30,18 +30,22 @@ and the displacements are bracketed differences of J, L and two direct
 log/arctan terms over y' = +-b (x' = +-a for uy).  Every term of the
 form w * f with f divergent has a removable w -> 0 limit of zero; the
 code forces that limit explicitly, so evaluations are finite for any
-z >= 0 including cell edges and corners.
+z >= 0 including cell edges and corners.  A term whose weight is the
+scalar zero is skipped, not computed and then zeroed, since its limit
+is exactly 0: at the surface, z = 0, that is J's z log term, L's z atan
+term and the z-weighted direct term of ux and of uz.
 
 Each component has one implementation (``_ux``, which gives uy with
-the axes swapped, and ``_uz``), valid for every z >= 0; at z = 0 the
-terms carrying an explicit factor z vanish.  Both are NumPy array
-functions that broadcast over the cell and the point, with the four
-corner terms of a bracket evaluated in one call; the scalar public
-functions are 0-d calls of that same code (ux and uy one call, on the
-cell and point stacked with their axes swapped), so a matrix entry and
-the public function for its pair agree bitwise.  The effective
-influence of a cell on a sensing node is that same form at the surface
-minus its value at depth h_c, per unit pressure.
+the axes swapped, and ``_uz``), valid for every z >= 0.  Both are NumPy
+array functions that broadcast over the cell and the point, with the
+four corner terms of a bracket evaluated in one call, and take the
+depth-independent corner geometry (``_Corners``) formed once, so the
+surface and the depth share it.  The scalar public functions are calls
+of that same code on the cell and point stacked with their axes
+swapped (ux and uy one call, and uz from the same corners), so a
+matrix entry and the public function for its pair agree bitwise.  The effective influence of a
+cell on a sensing node is that same form at the surface minus its
+value at depth h_c, per unit pressure.
 
 Every public function checks its numeric arguments; ``love_zz_kernel``
 hands assembly the unchecked normal form, which it calls on blocks of
@@ -51,6 +55,7 @@ node pairs.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,30 +72,50 @@ ORACLE_Z_FLOOR = 1e-9
 _4PI = 4.0 * math.pi
 
 
+class _Length(NamedTuple):
+    """A length w with its square and its magnitude, formed once for all
+    the terms that read them.  ``zero`` marks the scalar zero: a term
+    weighted by it is its removable limit, exactly 0, and is skipped."""
+
+    w: object
+    sq: object
+    mag: object
+    zero: bool
+
+
+def _length(w):
+    return _Length(w, w * w, abs(w), isinstance(w, float) and w == 0.0)
+
+
 def _add_root(u, r, s):
-    """u + r for r = sqrt(u^2 + s), s >= 0, without cancellation for u < 0."""
-    return np.where(u >= 0.0, u + r, s / (r - u))
+    """u + r for r = sqrt(u^2 + s), s >= 0 and u a ``_Length``, without
+    cancellation for u < 0: there it is s / (r - u).  Both branches
+    divide or add r + |u|, which is u + r for u >= 0 and r - u for u < 0."""
+    r_u = r + u.mag
+    return np.where(u.w >= 0.0, r_u, s / r_u)
 
 
 def _term(u, v, dy, tol):
     """J and L of the module docstring in one antiderivative, z and c in
     swapped roles: J(c, dy, z) is _term(z, |c|, dy), L(c, dy, z) is _term(c, z, dy).
 
-    Broadcasts over its arguments; a weight at or below ``tol`` makes its
-    term the removable limit, zero.  The branches np.where discards may
+    Takes ``_Length``s and broadcasts over them; a weight at or below
+    ``tol`` makes its term the removable limit, zero, and a weight that
+    is the scalar zero skips it.  The branches np.where discards may
     divide by zero, so callers run it under np.errstate.
     """
-    uu = u * u
-    vv = v * v
-    s = dy * dy + vv
-    r = np.sqrt(uu + s)
-    beta = np.sqrt(uu + vv)
+    s = dy.sq + v.sq
+    r = np.sqrt(u.sq + s)
+    beta = np.sqrt(u.sq + v.sq)
     den = r + beta
-    psi = np.where(den > 0.0, dy / den, 0.0)
-    t = np.where(abs(dy) > tol, dy * (np.log(_add_root(u, r, s)) - 1.0), 0.0)
-    t = t + np.where(abs(u) > tol, u * np.log((1.0 + psi) / (1.0 - psi)), 0.0)
+    psi = np.where(den > 0.0, dy.w / den, 0.0)
+    t = np.where(dy.mag > tol, dy.w * (np.log(_add_root(u, r, s)) - 1.0), 0.0)
+    if not u.zero:
+        t = t + np.where(u.mag > tol, u.w * np.log((1.0 + psi) / (1.0 - psi)), 0.0)
+    if v.zero:
+        return t
     # v times a bounded arctangent: zero at v = 0 without a guard
-    return t + 2.0 * v * np.arctan2(v * psi, _add_root(u, beta, vv))
+    return t + 2.0 * v.w * np.arctan2(v.w * psi, _add_root(u, beta, v.sq))
 
 
 # The two edges of the cell along each axis, x' = +-a (y' = +-b): each
@@ -98,12 +123,21 @@ def _term(u, v, dy, tol):
 _EDGES = np.array([1.0, -1.0])
 
 
-def _corners(a, b, x, y):
-    """(c, dy) shaped (2, 1, ...) and (1, 2, ...): entry [i, j] of an
-    expression in both is its value at the cell corner (c_i, dy_j)."""
-    c = np.multiply.outer(_EDGES, a) - x
-    dy = np.multiply.outer(_EDGES, b) - y
-    return c[:, None], dy[None]
+class _Corners:
+    """What a cell and an in-plane point give every depth alike.
+
+    ``c`` and ``dy`` are shaped (2, 1, ...) and (1, 2, ...): entry [i, j]
+    of an expression in both is its value at the cell corner (c_i, dy_j).
+    ``abs_c`` is |c| as a length of its own (J's v), and ``extent``
+    a + b + |x| + |y|, the depth-free part of the weight tolerance's
+    length scale.
+    """
+
+    def __init__(self, a, b, x, y):
+        self.c = c = _length((np.multiply.outer(_EDGES, a) - x)[:, None])
+        self.abs_c = _Length(c.mag, c.sq, c.mag, False)
+        self.dy = _length((np.multiply.outer(_EDGES, b) - y)[None])
+        self.extent = a + b + abs(x) + abs(y)
 
 
 def _bracket(f):
@@ -112,33 +146,41 @@ def _bracket(f):
     return d[0] - d[1]
 
 
-def _ux(a, b, x, y, z, E, nu):
-    """x displacement per unit pressure; uy is _ux(b, a, y, x, ...).
+def _prefactor(E, nu):
+    """2 (1 + nu) / (4 pi E), the factor of both components."""
+    return (2.0 * (1.0 + nu) / E) / _4PI
 
-    The bracketed J difference plus the z-weighted log term, which
-    vanishes at z = 0.  Broadcasts over a, b, x, y and z.
+
+def _ux(k, z, nu, pre):
+    """x displacement per unit pressure at depth ``z`` (a ``_Length``)
+    below the point of corners ``k``, ``pre`` being ``_prefactor``; uy
+    is _ux of the corners with the axes swapped.
+
+    The bracketed J difference plus the z-weighted log term, skipped at
+    z = 0.  Broadcasts over the corners and z.
     """
-    tol = EDGE_WEIGHT_TOL * (a + b + abs(x) + abs(y) + z)
-    c, dy = _corners(a, b, x, y)
-    s = c * c + z * z
+    tol = EDGE_WEIGHT_TOL * (k.extent + z.w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        j = _term(z, abs(c), dy, tol)
-        log = np.where(z > tol, z * np.log(_add_root(dy, np.sqrt(dy * dy + s), s)), 0.0)
-    return (2.0 * (1.0 + nu) / E) / _4PI * _bracket((1.0 - 2.0 * nu) * j + log)
+        f = (1.0 - 2.0 * nu) * _term(z, k.abs_c, k.dy, tol)
+        if not z.zero:
+            s = k.c.sq + z.sq
+            root = _add_root(k.dy, np.sqrt(k.dy.sq + s), s)
+            f = f + np.where(z.w > tol, z.w * np.log(root), 0.0)
+    return pre * _bracket(f)
 
 
-def _uz(a, b, x, y, z, E, nu):
-    """z displacement per unit pressure.
+def _uz(k, z, nu, pre):
+    """z displacement per unit pressure, as ``_ux``.
 
-    The bracketed L difference plus the z-weighted arctangent term, zero
-    at z = 0.  Broadcasts over a, b, x, y and z.
+    The bracketed L difference plus the z-weighted arctangent term,
+    skipped at z = 0.
     """
-    tol = EDGE_WEIGHT_TOL * (a + b + abs(x) + abs(y) + z)
-    c, dy = _corners(a, b, x, y)
+    tol = EDGE_WEIGHT_TOL * (k.extent + z.w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell = _term(c, z, dy, tol)
-    arc = np.arctan2(c * dy, z * np.sqrt(c * c + dy * dy + z * z))
-    return (2.0 * (1.0 + nu) / E) / _4PI * _bracket(2.0 * (1.0 - nu) * ell + z * arc)
+        f = 2.0 * (1.0 - nu) * _term(k.c, z, k.dy, tol)
+    if not z.zero:
+        f = f + z.w * np.arctan2(k.c.w * k.dy.w, z.w * np.sqrt(k.c.sq + k.dy.sq + z.sq))
+    return pre * _bracket(f)
 
 
 def _check_cell_point(cell, pt) -> tuple[float, float, float, float, float]:
@@ -165,10 +207,13 @@ def love_displacement(p: float, cell, pt, params) -> np.ndarray:
     """
     check_finite("pressure", p)
     a, b, x, y, z = _check_cell_point(cell, pt)
-    E = params.young_modulus
     nu = params.poisson_ratio
-    ab, xy = np.array([a, b]), np.array([x, y])
-    return p * np.append(_ux(ab, ab[::-1], xy, xy[::-1], z, E, nu), _uz(a, b, x, y, z, E, nu))
+    pre = _prefactor(params.young_modulus, nu)
+    ab, xy, depth = np.array([a, b]), np.array([x, y]), _length(z)
+    # the cell and point, then the two with their axes swapped: ux, uy
+    # and (from the first) uz
+    k = _Corners(ab, ab[::-1], xy, xy[::-1])
+    return p * np.append(_ux(k, depth, nu, pre), _uz(k, depth, nu, pre)[0])
 
 
 def love_effective_column(delta, half_extents, h_c: float, params) -> np.ndarray:
@@ -204,8 +249,15 @@ def love_zz_kernel(h_c: float, young_modulus: float, poisson_ratio: float):
     check_positive("cover thickness", h_c)
     check_positive("young modulus", young_modulus)
     check_finite("poisson ratio", poisson_ratio)
-    E, nu = young_modulus, poisson_ratio
-    return lambda x, y, a, b: _uz(a, b, x, y, 0.0, E, nu) - _uz(a, b, x, y, h_c, E, nu)
+    nu = poisson_ratio
+    pre = _prefactor(young_modulus, nu)
+    surface, depth = _length(0.0), _length(h_c)
+
+    def kernel(x, y, a, b):
+        k = _Corners(a, b, x, y)
+        return _uz(k, surface, nu, pre) - _uz(k, depth, nu, pre)
+
+    return kernel
 
 
 def _quad1(g, lo, hi, tol, breakpoints=None):

@@ -23,18 +23,22 @@ algorithm per kind of C, chosen once per matrix by ``NnlsSystem``.
   final one.  So the search runs in float32, on a copy of H that
   ``NnlsSystem`` holds beside it, and reads half the bytes (a low
   precision search checked in double, as in Carson & Higham, SIAM J.
-  Sci. Comput. 40(2), 2018).  The copy is H / 2^e_H and the search's
-  right-hand side x_u / 2^e_x, with e_H and e_x the exponents of their
-  largest entries: both then lie within float32's range for any H that
-  ``_held_inverse`` admits, whatever the scale of C and d.  The
-  search's x and y come back times the same exact powers of two before
-  their signs are tested, so its tolerances are the exact steps', and
-  a solve scaled by powers of two takes the same steps.  When a search
-  iterate shows no infeasible index, or its count stops falling, the
-  certify phase solves that partition again exactly (a float64 LU
-  solve on H) and takes exact steps from then on, so the optimum is
-  declared on an exact float64 step only.  With ``SEARCH_CG_STEPS`` =
-  0 every step is exact.
+  Sci. Comput. 40(2), 2018).  When a search iterate shows no
+  infeasible index, or its count stops falling, the certify phase
+  solves that partition again exactly (a float64 LU solve on H) and
+  takes exact steps from then on, so the optimum is declared on an
+  exact float64 step only.  With ``SEARCH_CG_STEPS`` = 0 every step is
+  exact.
+  Every step runs in units scaled by exact powers of two, so no unit
+  of C and d leaves float64's range on the way: G is formed from
+  C / 2^e_C, H is held as H / 2^e_H in float64 and rounded from there
+  to float32 for the search, and the steps' right-hand side is
+  x_u / 2^e_x, with e_C, e_H and e_x the exponents of the largest
+  entries of C, H and x_u.  A step's x and y come back times the same
+  exact powers of two before their signs are tested, so the scaling
+  changes no bit of them where the unscaled arithmetic stays in range,
+  the choice of algorithm and the steps taken do not depend on the
+  units, and a solve scaled by powers of two takes the same steps.
   The residual ||C max(x, 0) - d|| is formed after the steps, not in them.
 - "lawson-hanson": otherwise (fewer rows than columns, or G singular or
   too ill-conditioned), where pivoting may cycle, the Lawson-Hanson
@@ -89,20 +93,26 @@ class NnlsResult:
 
 
 def _held_inverse(C):
-    """H = G^-1 with G = C^T C, or None when the Schur steps should not
-    use it: C has fewer rows than columns, G cannot be inverted, or the
+    """(2^(2 e_C) H, e_C) with H = G^-1, G = C^T C and e_C the exponent
+    of C's largest entry, or None when the Schur steps should not use
+    H: C has fewer rows than columns, G cannot be inverted, or the
     rounding the steps' dual can carry relative to ||C^T d||,
-    eps ||G||_1 ||H||_1, exceeds the KKT tolerance.  G is not kept."""
+    eps ||G||_1 ||H||_1, exceeds the KKT tolerance.  G is formed from
+    C / 2^e_C, whose entries lie below 1, so it cannot overflow; the
+    test is the same at every scale of C.  G is not kept."""
     if C.shape[0] < C.shape[1]:
         return None
-    G = C.T @ C
+    e_C = math.frexp(max(C.max(), -C.min()))[1]
+    scaled = np.ldexp(C, -e_C)
+    G = scaled.T @ scaled
+    del scaled  # not held while G is inverted
     try:
         H = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         return None
     if not _EPS * np.linalg.norm(G, 1) * np.linalg.norm(H, 1) <= NNLS_KKT_RTOL:
         return None
-    return H
+    return H, e_C
 
 
 class NnlsSystem:
@@ -111,10 +121,13 @@ class NnlsSystem:
 
     C must be a finite 2-d matrix with at least one column; it is
     copied unless it is read-only already.  ``inverse_gram`` is the
-    read-only H = (C^T C)^-1 the exact Schur steps use, or None where
-    the solves run Lawson-Hanson (``_held_inverse``); ``search_gram`` is
-    the read-only float32 copy of H / 2^``search_exponent`` the search
-    steps read (module docstring); both are None without H.
+    read-only H / 2^``search_exponent``, with H = (C^T C)^-1, that the
+    exact Schur steps use, or None where the solves run Lawson-Hanson
+    (``_held_inverse``); its largest entry lies in [1/2, 1), so it is
+    held whatever the units of C, where H itself might not be
+    representable.  ``search_gram`` is its read-only float32 rounding,
+    which the search steps read (module docstring); both are None
+    without H.
     """
 
     def __init__(self, C):
@@ -128,13 +141,16 @@ class NnlsSystem:
         if C.flags.writeable:
             C = C.copy()
             C.flags.writeable = False
-        H = _held_inverse(C)
-        H32 = exponent = None
-        if H is not None:
-            H.flags.writeable = False
+        held = _held_inverse(C)
+        H = H32 = exponent = None
+        if held is not None:
+            H, e_C = held
             # H is positive definite, so its largest entry is on the diagonal
-            exponent = math.frexp(np.max(np.diagonal(H)))[1]
-            H32 = np.ldexp(H, -exponent).astype(np.float32)
+            e_H = math.frexp(np.max(np.diagonal(H)))[1]
+            exponent = e_H - 2 * e_C
+            np.ldexp(H, -e_H, out=H)
+            H.flags.writeable = False
+            H32 = H.astype(np.float32)
             H32.flags.writeable = False
         self.matrix = C
         self.inverse_gram = H
@@ -202,13 +218,20 @@ def _block_pivoting(system, d, ctd, tol, limit):
     cap for each."""
     C, H = system.matrix, system.inverse_gram
     n = C.shape[1]
-    x_u = H @ ctd
-    # the search runs on x_u / 2^e_x and H / 2^e_H, so its x comes back
-    # times 2^e_x and its y times 2^(e_x - e_H), both exactly
+    x_u = np.ldexp(H @ ctd, system.search_exponent)
+    # the steps run on x_u / 2^e_x and H / 2^e_H, so their x comes back
+    # times 2^e_x and their y times 2^(e_x - e_H), both exactly
     e_x = math.frexp(np.max(np.abs(x_u)))[1]
     e_y = e_x - system.search_exponent
     x_u_scaled = np.ldexp(x_u, -e_x)
     free = np.ones(n, dtype=bool)
+
+    def step(M, cg_steps):
+        """The Schur step on the current partition, on H / 2^e_H or its
+        float32 rounding M, with x and y brought back to C's units."""
+        x, y = _schur_step(M, x_u_scaled, free, cg_steps)
+        return np.ldexp(x, e_x), np.ldexp(y, e_y)
+
     x, y = x_u, np.zeros(n)
     iterates = [x]
     best_infeasible = n + 1
@@ -224,7 +247,7 @@ def _block_pivoting(system, d, ctd, tol, limit):
             # certify: solve this partition again exactly, and take
             # exact steps from here on
             cg_steps = 0
-            x, y = _schur_step(H, x_u, free, 0)
+            x, y = step(H, 0)
             iterates.append(x)
             bad = _infeasible(x, y, free, tol)
             n_bad = int(np.count_nonzero(bad))
@@ -243,11 +266,7 @@ def _block_pivoting(system, d, ctd, tol, limit):
                 bad = np.zeros(n, dtype=bool)
                 bad[idx] = True
         free ^= bad
-        if cg_steps:
-            x, y = _schur_step(system.search_gram, x_u_scaled, free, cg_steps)
-            x, y = np.ldexp(x, e_x), np.ldexp(y, e_y)
-        else:
-            x, y = _schur_step(H, x_u, free, 0)
+        x, y = step(system.search_gram, cg_steps) if cg_steps else step(H, 0)
         iterates.append(x)
     # the last iterate, or at the cap the lowest-residual one (x = 0 wins ties)
     candidates = iterates[-1:] if converged else [np.zeros(n)] + iterates

@@ -776,6 +776,27 @@ def test_a_non_finite_forward_solve_prints_only_its_error_line(tmp_path, command
     assert not os.path.exists(d)
 
 
+
+def test_an_influence_matrix_that_is_not_finite_prints_only_its_error_line(tmp_path):
+    # a fresh process, since pytest captures the warnings numpy would print;
+    # at this modulus the bc kernel overflows float64
+    grid, params = str(tmp_path / "g.csv"), str(tmp_path / "p.json")
+    (tmp_path / "p.json").write_text(json.dumps({"young_modulus": 1e-306}))
+    assert main(["make-grid", "--nx", "2", "--ny", "2", "--pitch", "2e-3", "--out", grid]) == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "contactshape.cli", "assemble", "--tract-grid", grid,
+         "--disp-grid", grid, "--model", "bc", "--params", params,
+         "--out", str(tmp_path / "m.dat")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(contactshape.__file__))),
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.splitlines() == [
+        "error: numerical-failure: the bc influence matrix is not finite at young modulus 1e-306"
+    ]
+    assert not (tmp_path / "m.dat").exists()
+
+
 def test_tolerant_applies_to_readings_only(grid_file, tmp_path, capsys):
     d_path = tmp_path / "d.dat"
     d_path.write_text("".join("0 0 1e-6\n" for _ in range(9)))

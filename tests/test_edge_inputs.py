@@ -271,6 +271,20 @@ def test_a_forward_solve_that_is_not_finite_is_a_numerical_failure():
             forward_solve(FieldVector(np.full(2, 3.75e5), pair), "love", pair, soft)
 
 
+
+@pytest.mark.parametrize(
+    "model, modulus", [("bc", 1e-306), ("bc", 1e-310), ("love", 1e-310), ("love", 5e-324)]
+)
+def test_an_influence_matrix_that_is_not_finite_is_a_numerical_failure(model, modulus):
+    """Every kernel is proportional to 1/E, so a near-zero modulus overflows
+    C: the error names the modulus, and numpy warns of nothing on the way."""
+    soft = ElastomerParams(young_modulus=modulus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="young modulus %g$" % modulus):
+            assemble(model, PAD, PAD.retag("displacement"), soft)
+
+
 # caller -> (what its choice is called, the call with that choice set to v)
 CHOICES = {
     "assemble": ("psi mode", lambda v: assemble("bc", TRACT, DISP, PARAMS, v)),

@@ -12,6 +12,7 @@ from contactshape import (
     love_effective_column,
     love_potential_oracle,
 )
+from contactshape import love
 from contactshape.love import _integrate_cell
 
 A, B = 5e-3, 2e-3
@@ -204,3 +205,39 @@ def test_oracle_chi_matches_closed_log_sum(incompressible):
     val2 = love_potential_oracle(P, (A, B), (x, y, z), "chi", rel_tol=1e-7)
     assert val == pytest.approx(val2, rel=1e-6)
     assert math.isfinite(val)
+
+
+def _surface_nodes(rng):
+    """In-plane offsets from the cell (A, B): random ones, then the cell's
+    corners, its edges and the on-axis node."""
+    x = [*rng.uniform(-3 * A, 3 * A, 400), A, -A, A, -A, A, -A, 0.0, 0.0, 0.0, 2 * A]
+    y = [*rng.uniform(-3 * B, 3 * B, 400), B, B, -B, -B, 0.0, 0.5 * B, B, -B, 0.0, B]
+    return np.array(x), np.array(y)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5])
+def test_a_term_weighted_by_the_scalar_zero_is_skipped_bitwise(nu):
+    """At the surface z = 0 weights J's log term, L's arctangent and the
+    direct terms: the scalar zero skips them, while a 1-element zero
+    array evaluates them and multiplies them by zero, as every depth
+    does.  Both give the same bits."""
+    x, y = _surface_nodes(np.random.default_rng(26))
+    a, b = np.full(len(x), A), np.full(len(x), B)
+    pre = love._prefactor(E, nu)
+    skipped, computed = love._length(0.0), love._length(np.zeros(1))
+    assert skipped.zero and not computed.zero
+    for k in (love._Corners(a, b, x, y), love._Corners(b, a, y, x)):
+        for component in (love._ux, love._uz):
+            want = component(k, computed, nu, pre)
+            assert np.all(np.isfinite(want))
+            np.testing.assert_array_equal(component(k, skipped, nu, pre), want)
+        tol = love.EDGE_WEIGHT_TOL * k.extent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = [love._term(k.c, z, k.dy, tol) for z in (skipped, computed)]
+            J = [love._term(z, k.abs_c, k.dy, tol) for z in (skipped, computed)]
+        np.testing.assert_array_equal(*L)
+        np.testing.assert_array_equal(*J)
+    kernel = love.love_zz_kernel(2e-3, E, nu)(x, y, a, b)
+    k = love._Corners(a, b, x, y)
+    depth = love._uz(k, love._length(2e-3), nu, pre)
+    np.testing.assert_array_equal(kernel, love._uz(k, computed, nu, pre) - depth)

@@ -150,7 +150,7 @@ def test_held_state_is_read_only(pad, params, tmp_path):
     assert not any(a.flags.writeable for a in held)
     assert system.matrix is mat.entries  # one C, not a copy of it
     H = np.linalg.inv(mat.entries.T @ mat.entries)
-    assert system.inverse_gram.tobytes() == H.tobytes()
+    assert np.ldexp(system.inverse_gram, system.search_exponent).tobytes() == H.tobytes()
     # the search's float32 copy of H, half its bytes, is counted with it
     assert system.search_gram.nbytes * 2 == H.nbytes
     assert len(memory_tier) == 3
@@ -247,7 +247,7 @@ def test_nnls_system_is_formed_from_its_matrix_only(params):
     assert system.matrix is not C and C.flags.writeable  # a writeable C is copied
     assert not system.matrix.flags.writeable and not system.inverse_gram.flags.writeable
     H = np.linalg.inv(C.T @ C)
-    assert system.inverse_gram.tobytes() == H.tobytes()
+    assert np.ldexp(system.inverse_gram, system.search_exponent).tobytes() == H.tobytes()
     # the search's read-only copy: H / 2^e rounded to float32, its largest entry in [1/2, 1)
     assert not system.search_gram.flags.writeable
     rounded = np.ldexp(H, -system.search_exponent).astype(np.float32)

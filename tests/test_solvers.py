@@ -309,6 +309,57 @@ def test_the_search_is_equivariant_under_power_of_two_scaling(monkeypatch):
                     assert (res.iterations, steps) == (iterations, ref_steps)
 
 
+def test_the_held_inverse_scales_back_to_the_bitwise_inverse_of_a_skin():
+    # G is formed from C / 2^e_C and H held as H / 2^e_H: both scalings
+    # are exact, so H is bitwise the inverse of C^T C formed unscaled
+    C, _ = _skin_frames()
+    system = solvers.NnlsSystem(C)
+    H = np.linalg.inv(C.T @ C)
+    assert np.ldexp(system.inverse_gram, system.search_exponent).tobytes() == H.tobytes()
+    assert 0.5 <= np.max(np.abs(system.inverse_gram)) < 1.0
+    rounded = np.ldexp(H, -system.search_exponent).astype(np.float32)
+    assert system.search_gram.tobytes() == rounded.tobytes()
+
+
+def test_the_solver_choice_does_not_depend_on_the_units():
+    """C times 2^k for k far beyond where C^T C or its inverse leave
+    float64's range: the same choice, the same held bits, no warning."""
+    g = build_regular_grid((0.0, 0.0), 5, 5, 2e-3, 2e-3)
+    skin = assemble("bc", g, g.retag("displacement"), ElastomerParams()).entries
+    for C, held in ((skin, True), (np.diag([1.0, 2e-3]), True), (np.diag([1.0, 1e-3]), False)):
+        reference = solvers.NnlsSystem(C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-900, -600, -300, 300, 600, 900):
+                scaled = np.ldexp(C, k)
+                assert np.all(np.abs(scaled[scaled != 0.0]) >= np.finfo(float).tiny)
+                system = solvers.NnlsSystem(scaled)
+                assert (system.inverse_gram is not None) is held
+                if held:
+                    assert system.inverse_gram.tobytes() == reference.inverse_gram.tobytes()
+                    assert system.search_exponent == reference.search_exponent - 2 * k
+
+
+def test_a_love_pad_at_a_tiny_modulus_runs_schur_without_a_warning():
+    """At a modulus of 1e-300 C's entries are near 1e297: C^T C overflows
+    float64 and (C^T C)^-1 underflows it, yet the solve is C / 2^e_C's,
+    scaled back bitwise, with no numpy warning."""
+    g = build_regular_grid((0.0, 0.0), 4, 4, 2e-3, 2e-3)
+    soft = ElastomerParams(young_modulus=1e-300)
+    C = assemble("love", g, g.retag("displacement"), soft).entries
+    q = synth_contact(IndenterSpec("hemisphere", 5e-3, (3e-3, 3e-3), 1.0), g).values
+    d = C @ (q - 0.05 * q.max())
+    d *= 1e-4 / np.max(np.abs(d))  # displacements up to 0.1 mm, pressures near 1e-300 Pa
+    e = int(np.frexp(np.max(np.abs(C)))[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nnls_solve(C, d)
+        unit = nnls_solve(np.ldexp(C, -e), d)
+    assert (res.free_set_solver, unit.free_set_solver) == ("schur", "schur")
+    assert res.converged and res.x.tobytes() == np.ldexp(unit.x, -e).tobytes()
+    assert np.count_nonzero(res.x) < len(q)  # the bound is active somewhere
+
+
 def test_cg_stops_once_its_residual_vanishes():
     b = np.array([1.0, -2.0, 3.0])
     # one step solves M = I exactly; the steps after it must not divide by 0
@@ -387,7 +438,8 @@ def test_the_inverse_is_held_only_where_its_rounding_stays_within_tolerance():
         assert res.residual == pytest.approx(scipy.optimize.nnls(C, d)[1], rel=1e-9, abs=1e-12)
     C = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
     d = np.array([1.0, 2.0, 3.0])
-    H = solvers.NnlsSystem(C).inverse_gram
+    system = solvers.NnlsSystem(C)
+    H = np.ldexp(system.inverse_gram, system.search_exponent)
     np.testing.assert_allclose(H, np.linalg.inv(C.T @ C), rtol=1e-14)
     res = nnls_solve(C, d)
     assert res.free_set_solver == "schur" and res.converged
